@@ -18,6 +18,7 @@
 
 #include "bench/gbench_json.h"
 #include "src/common/random.h"
+#include "src/common/string_util.h"
 #include "src/match/mapped_match.h"
 #include "src/match/subsequence.h"
 #include "src/seq/binary_format.h"
@@ -32,7 +33,7 @@ SequenceDatabase MakeDb(size_t rows, size_t mean_len, uint64_t seed) {
   SequenceDatabase db;
   const size_t alphabet = 32;
   for (size_t s = 0; s < alphabet; ++s) {
-    db.alphabet().Intern("s" + std::to_string(s));
+    db.alphabet().Intern(StrCat({"s", std::to_string(s)}));
   }
   for (size_t t = 0; t < rows; ++t) {
     Sequence seq;

@@ -186,44 +186,6 @@ void BM_SupportIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportIndexed)->Range(256, 16384);
 
-void BM_SanitizeIndexedVsScan(benchmark::State& state) {
-  const bool use_index = state.range(0) != 0;
-  RandomDatabaseOptions gen;
-  gen.num_sequences = 4096;
-  gen.min_length = 10;
-  gen.max_length = 30;
-  gen.alphabet_size = 100;
-  gen.seed = 23;
-  SequenceDatabase base = MakeRandomDatabase(gen);
-  std::vector<Sequence> patterns = {MakeSeq(2, 100, 24),
-                                    MakeSeq(3, 100, 25)};
-  const uint64_t dp_before = CounterValue("sanitize.index_dp_rows") +
-                             CounterValue("sanitize.scan_dp_rows") +
-                             CounterValue("global.match_info_rows");
-  const uint64_t pruned_before = CounterValue("sanitize.index_pruned_rows");
-  for (auto _ : state) {
-    SequenceDatabase db = base;
-    SanitizeOptions opts = SanitizeOptions::HH();
-    opts.use_index = use_index;
-    auto report = Sanitize(&db, patterns, opts);
-    benchmark::DoNotOptimize(report.ok());
-  }
-  const uint64_t dp_after = CounterValue("sanitize.index_dp_rows") +
-                            CounterValue("sanitize.scan_dp_rows") +
-                            CounterValue("global.match_info_rows");
-  state.counters["dp_rows"] = benchmark::Counter(
-      static_cast<double>(dp_after - dp_before),
-      benchmark::Counter::kAvgIterations);
-  state.counters["pruned_rows"] = benchmark::Counter(
-      static_cast<double>(CounterValue("sanitize.index_pruned_rows") -
-                          pruned_before),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_SanitizeIndexedVsScan)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"use_index"});
-
 // --- Bit-parallel / multi-pattern kernels (docs/kernels.md) ---
 
 // Shift-And existence scan vs the greedy scalar subsequence scan, on a

@@ -26,6 +26,7 @@
 
 #include "bench/gbench_json.h"
 #include "src/common/random.h"
+#include "src/common/string_util.h"
 #include "src/seq/alphabet.h"
 #include "src/seq/database.h"
 #include "src/seq/io.h"
@@ -61,7 +62,7 @@ std::string TextDbPath() {
     SequenceDatabase db;
     const size_t alphabet = 32;
     for (size_t s = 0; s < alphabet; ++s) {
-      db.alphabet().Intern("s" + std::to_string(s));
+      db.alphabet().Intern(StrCat({"s", std::to_string(s)}));
     }
     for (size_t t = 0; t < kRows; ++t) {
       Sequence seq;
@@ -102,7 +103,7 @@ std::unique_ptr<LiveServer> StartServer(benchmark::State& state,
   auto live = std::make_unique<LiveServer>();
   live->socket_path =
       (std::filesystem::temp_directory_path() /
-       ("seqhide_bench_serve_" + std::to_string(::getpid()) + ".sock"))
+       StrCat({"seqhide_bench_serve_", std::to_string(::getpid()), ".sock"}))
           .string();
   std::remove(live->socket_path.c_str());
 
@@ -295,9 +296,9 @@ void BM_MatchCountConcurrent8(benchmark::State& state) {
   std::vector<Request> reqs(kClients);
   for (size_t i = 0; i < kClients; ++i) {
     reqs[i].method = Method::kMatchCount;
-    reqs[i].patterns = {"s" + std::to_string(i) + " -> s" +
-                        std::to_string(8 + i) + " -> s" +
-                        std::to_string(16 + i)};
+    reqs[i].patterns = {StrCat({"s", std::to_string(i), " -> s",
+                                std::to_string(8 + i), " -> s",
+                                std::to_string(16 + i)})};
   }
 
   uint64_t id = 0;
@@ -345,14 +346,17 @@ BENCHMARK(BM_MatchCountConcurrent8)->Arg(8)->Arg(1)->UseRealTime();
 // dedup/attribution rules.
 void BM_BatchPlanUnion(benchmark::State& state) {
   Alphabet alphabet;
-  for (size_t s = 0; s < 32; ++s) alphabet.Intern("s" + std::to_string(s));
+  for (size_t s = 0; s < 32; ++s) {
+    alphabet.Intern(StrCat({"s", std::to_string(s)}));
+  }
   std::vector<Request> reqs(8);
   for (size_t i = 0; i < reqs.size(); ++i) {
     reqs[i].method = i % 2 == 0 ? Method::kMatchCount : Method::kSupport;
     // Consecutive requests share their second pattern, so 16 texts dedup.
     reqs[i].patterns = {
-        "s" + std::to_string(i) + " -> s" + std::to_string(i + 8),
-        "s" + std::to_string(i / 2) + " -> s" + std::to_string(i / 2 + 16)};
+        StrCat({"s", std::to_string(i), " -> s", std::to_string(i + 8)}),
+        StrCat({"s", std::to_string(i / 2), " -> s",
+                std::to_string(i / 2 + 16)})};
   }
   std::vector<const Request*> ptrs;
   for (const Request& req : reqs) ptrs.push_back(&req);

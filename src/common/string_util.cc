@@ -50,6 +50,15 @@ std::string_view Trim(std::string_view text) {
   return text.substr(b, e - b);
 }
 
+std::string StrCat(std::initializer_list<std::string_view> pieces) {
+  size_t total = 0;
+  for (std::string_view piece : pieces) total += piece.size();
+  std::string out;
+  out.reserve(total);
+  for (std::string_view piece : pieces) out.append(piece);
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep) {
   std::string out;

@@ -5,6 +5,7 @@
 #define SEQHIDE_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,6 +23,12 @@ std::vector<std::string> SplitWhitespace(std::string_view text);
 
 // Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
+
+// Concatenates `pieces` by appending them to one string. Use it instead of
+// `"x" + std::to_string(n)`: GCC 12 at -O3 misreports that form (a short
+// literal prepended to a temporary) as an overlapping memcpy, and the
+// -Wrestrict false positive breaks -Werror Release builds.
+std::string StrCat(std::initializer_list<std::string_view> pieces);
 
 // Joins `pieces` with `sep` between each pair.
 std::string Join(const std::vector<std::string>& pieces,

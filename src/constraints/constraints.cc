@@ -106,7 +106,7 @@ std::string ConstraintSpec::ToString() const {
   std::ostringstream out;
   if (IsUnconstrained()) return "unconstrained";
   auto gap_str = [](const GapBound& g) {
-    std::string s = "[" + std::to_string(g.min_gap) + "..";
+    std::string s = StrCat({"[", std::to_string(g.min_gap), ".."});
     if (g.max_gap == GapBound::kNoMax) {
       s += "]";
     } else {

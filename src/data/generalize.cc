@@ -1,6 +1,7 @@
 #include "src/data/generalize.h"
 
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 #include "src/data/grid.h"
 #include "src/match/constrained_count.h"
 
@@ -22,7 +23,7 @@ std::pair<size_t, size_t> GridHierarchy::RegionOf(size_t cell_x,
 }
 
 std::string GridHierarchy::RegionName(size_t region_x, size_t region_y) {
-  return "R" + std::to_string(region_x) + "S" + std::to_string(region_y);
+  return StrCat({"R", std::to_string(region_x), "S", std::to_string(region_y)});
 }
 
 Result<GeneralizeReport> GeneralizeMarks(

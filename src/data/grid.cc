@@ -30,7 +30,7 @@ std::pair<size_t, size_t> GridDiscretizer::CellOf(double x, double y) const {
 }
 
 std::string GridDiscretizer::CellName(size_t cell_x, size_t cell_y) {
-  return "X" + std::to_string(cell_x) + "Y" + std::to_string(cell_y);
+  return StrCat({"X", std::to_string(cell_x), "Y", std::to_string(cell_y)});
 }
 
 std::optional<std::pair<size_t, size_t>> GridDiscretizer::ParseCellName(

@@ -2,6 +2,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
+#include "src/common/string_util.h"
 #include "src/data/grid.h"
 #include "src/match/subsequence.h"
 
@@ -68,7 +69,7 @@ SequenceDatabase MakeRandomDatabase(const RandomDatabaseOptions& options) {
   std::vector<SymbolId> symbols;
   symbols.reserve(options.alphabet_size);
   for (size_t s = 0; s < options.alphabet_size; ++s) {
-    symbols.push_back(db.alphabet().Intern("s" + std::to_string(s)));
+    symbols.push_back(db.alphabet().Intern(StrCat({"s", std::to_string(s)})));
   }
   for (size_t i = 0; i < options.num_sequences; ++i) {
     size_t len = options.min_length +

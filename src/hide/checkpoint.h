@@ -7,8 +7,8 @@
 // pipeline writes one after victim selection, every
 // SanitizeOptions::checkpoint_every_rounds marking rounds, and on a
 // budget stop; a run that completes deletes its checkpoint. Resuming
-// (SanitizeOptions::resume) replays the stored marks onto a freshly
-// loaded database, restores the metrics registry, and continues from the
+// (SanitizeOptions::resume) replays the stored marks onto fresh copies of
+// the victim rows, restores the metrics registry, and continues from the
 // first incomplete round — the final database, report, and metrics are
 // byte-identical to an uninterrupted run at any thread count.
 //
@@ -42,7 +42,7 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/obs/metrics.h"
-#include "src/seq/database.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
@@ -99,9 +99,10 @@ Status WriteCheckpoint(const std::string& path, const CheckpointState& state);
 Result<CheckpointState> LoadCheckpoint(const std::string& path);
 
 // FNV-1a-64 hash of the inputs and every option that affects the result
-// (strategies, ψ, seed, round size, use_index, verify — not thread count
-// or budget, which may legitimately differ between a run and its resume).
-uint64_t ComputeRunFingerprint(const SequenceDatabase& db,
+// (strategies, ψ, seed, round size, verify — not thread count or budget,
+// which may legitimately differ between a run and its resume). The
+// alphabet hashed is db.alphabet(): the one the patterns were parsed into.
+uint64_t ComputeRunFingerprint(const DatabaseView& db,
                                const std::vector<Sequence>& patterns,
                                const std::vector<ConstraintSpec>& constraints,
                                const SanitizeOptions& opts);

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 #include "src/match/matching_set.h"
 
 namespace seqhide {
@@ -81,7 +82,8 @@ Result<SanitizationInstance> ReduceHittingSetToSanitization(
   std::vector<SymbolId> symbols;
   symbols.reserve(instance.universe_size);
   for (size_t e = 0; e < instance.universe_size; ++e) {
-    symbols.push_back(out.alphabet.Intern("p" + std::to_string(e + 1)));
+    symbols.push_back(
+        out.alphabet.Intern(StrCat({"p", std::to_string(e + 1)})));
   }
   out.sequence = Sequence(std::move(symbols));
   for (const auto& [j, k] : instance.pairs) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <set>
 #include <sstream>
 
@@ -19,7 +18,6 @@
 #include "src/match/count.h"
 #include "src/match/kernel.h"
 #include "src/match/scratch.h"
-#include "src/mine/inverted_index.h"
 #include "src/obs/macros.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -28,7 +26,7 @@
 namespace seqhide {
 namespace {
 
-Status ValidateInputs(const SequenceDatabase& db,
+Status ValidateInputs(const DatabaseView& db,
                       const std::vector<Sequence>& patterns,
                       const std::vector<ConstraintSpec>& constraints,
                       const SanitizeOptions& opts) {
@@ -89,7 +87,7 @@ Status ValidateInputs(const SequenceDatabase& db,
     // asking to hide it is a mix-up between pattern and database files.
     size_t max_len = 0;
     for (size_t t = 0; t < db.size(); ++t) {
-      max_len = std::max(max_len, db[t].size());
+      max_len = std::max(max_len, db.row(t).size());
     }
     for (const auto& p : patterns) {
       if (p.size() > max_len) {
@@ -102,105 +100,6 @@ Status ValidateInputs(const SequenceDatabase& db,
     }
   }
   return Status::OK();
-}
-
-// Constrained support of pattern p in db: rows with >= 1 valid occurrence.
-// Row-partitioned across the shared pool; the per-chunk hit counts are
-// reduced in chunk order, so the total is thread-count-independent.
-size_t ConstrainedSupport(const SequenceDatabase& db, const MatchKernel& kernel,
-                          size_t p, size_t num_threads) {
-  SEQHIDE_COUNTER_ADD("sanitize.scan_dp_rows", db.size());
-  uint64_t hits = ThreadPool::Shared().ParallelReduceSum(
-      db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
-        MatchScratch scratch;
-        uint64_t count = 0;
-        for (size_t t = begin; t < end; ++t) {
-          if (kernel.HasMatch(p, db[t], &scratch)) ++count;
-        }
-        return count;
-      });
-  return static_cast<size_t>(hits);
-}
-
-// Index-pruned version of ComputeMatchInfo: non-candidate sequences get a
-// zero matching count without running any DP. The candidate rows of one
-// pattern are distinct, so partitioning them across workers writes
-// disjoint info slots. *dp_rows returns the index-admitted (sequence,
-// pattern) pairs — an engine-invariant figure: with the trie engine the
-// covered patterns are answered by ONE pass over the union of their
-// candidate rows instead of one pass per pattern, but a union row not in
-// pattern p's candidate list contributes zero for p (candidate lists are
-// exact supersets of the supporters), so the info is bit-identical.
-std::vector<SequenceMatchInfo> ComputeMatchInfoIndexed(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, const InvertedIndex& index,
-    const MatchKernel& kernel, size_t num_threads, size_t* dp_rows) {
-  (void)constraints;
-  std::vector<SequenceMatchInfo> info(db.size());
-  for (size_t t = 0; t < db.size(); ++t) {
-    info[t].index = t;
-    info[t].pattern_support.resize(patterns.size(), false);
-  }
-  *dp_rows = 0;
-  std::vector<std::vector<size_t>> candidates(patterns.size());
-  bool any_covered = false;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    candidates[p] = index.CandidateSupporters(patterns[p]);
-    // Rows the index let us skip: they get a zero count with no DP.
-    SEQHIDE_COUNTER_ADD("sanitize.index_dp_rows", candidates[p].size());
-    SEQHIDE_COUNTER_ADD("sanitize.index_pruned_rows",
-                        db.size() - candidates[p].size());
-    *dp_rows += candidates[p].size();
-    if (kernel.TrieCovers(p)) any_covered = true;
-  }
-
-  if (any_covered) {
-    // One trie pass per row of the union of the covered patterns' lists.
-    std::vector<uint8_t> seen(db.size(), 0);
-    std::vector<size_t> union_rows;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      if (!kernel.TrieCovers(p)) continue;
-      for (size_t t : candidates[p]) {
-        if (!seen[t]) {
-          seen[t] = 1;
-          union_rows.push_back(t);
-        }
-      }
-    }
-    std::sort(union_rows.begin(), union_rows.end());
-    ThreadPool::Shared().ParallelFor(
-        union_rows.size(), num_threads, [&](size_t begin, size_t end) {
-          MatchScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            const size_t t = union_rows[i];
-            std::vector<uint64_t>& counts = scratch.pattern_counts;
-            const uint64_t subtotal =
-                kernel.CountTriePatterns(db[t], &scratch, &counts);
-            for (size_t p = 0; p < patterns.size(); ++p) {
-              if (kernel.TrieCovers(p) && counts[p] > 0) {
-                info[t].pattern_support[p] = true;
-              }
-            }
-            info[t].matching_count =
-                SatAdd(info[t].matching_count, subtotal);
-          }
-        });
-  }
-
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    if (kernel.TrieCovers(p)) continue;  // answered by the union pass
-    ThreadPool::Shared().ParallelFor(
-        candidates[p].size(), num_threads, [&](size_t begin, size_t end) {
-          MatchScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            const size_t t = candidates[p][i];
-            uint64_t c = kernel.CountPattern(p, db[t], &scratch);
-            info[t].pattern_support[p] = (c > 0);
-            info[t].matching_count = SatAdd(info[t].matching_count, c);
-          }
-        });
-  }
-  return info;
 }
 
 }  // namespace
@@ -243,15 +142,15 @@ std::string SanitizeReport::ToString() const {
   return out.str();
 }
 
-Result<SanitizeReport> Sanitize(SequenceDatabase* db,
+Result<SanitizeResult> Sanitize(const DatabaseView& db,
                                 const std::vector<Sequence>& patterns,
                                 const std::vector<ConstraintSpec>& constraints,
                                 const SanitizeOptions& opts) {
-  SEQHIDE_CHECK(db != nullptr);
-  SEQHIDE_RETURN_IF_ERROR(ValidateInputs(*db, patterns, constraints, opts));
+  SEQHIDE_RETURN_IF_ERROR(ValidateInputs(db, patterns, constraints, opts));
 
   Stopwatch timer;
-  SanitizeReport report;
+  SanitizeResult result;
+  SanitizeReport& report = result.report;
   Rng rng(opts.seed);
   SEQHIDE_TRACE_SPAN("sanitize");
   SEQHIDE_COUNTER_INC("sanitize.runs");
@@ -272,11 +171,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
                     static_cast<uint64_t>(match_kernel.engine()),
                     num_patterns);
 
-  // The fingerprint must be taken before the database mutates (a resumed
-  // run fingerprints its freshly loaded database the same way).
+  // The view is never written, so the fingerprint of a resumed run is
+  // taken over exactly the rows the original run started from.
   uint64_t fingerprint = 0;
   if (checkpointing) {
-    fingerprint = ComputeRunFingerprint(*db, patterns, constraints, opts);
+    fingerprint = ComputeRunFingerprint(db, patterns, constraints, opts);
   }
 
   // Deadline / cancellation, polled at stage boundaries and between
@@ -307,13 +206,30 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
             " was written for different inputs or options (fingerprint "
             "mismatch); delete it to start over");
       }
+      // The completed list covers exactly the finished rounds: the
+      // overlay is rebuilt from it, so a gap would drop rows.
+      const uint64_t rounds_needed =
+          (ck.victims.size() + opts.mark_round_size - 1) /
+          opts.mark_round_size;
       if (ck.num_patterns != num_patterns ||
           ck.supports_before.size() != num_patterns ||
           ck.victim_pattern_support.size() !=
               ck.victims.size() * num_patterns ||
-          ck.completed.size() > ck.victims.size()) {
+          ck.rounds_completed > rounds_needed ||
+          ck.completed.size() !=
+              std::min<uint64_t>(ck.victims.size(),
+                                 ck.rounds_completed * opts.mark_round_size)) {
         return Status::Corruption("checkpoint " + opts.checkpoint_path +
                                   " has inconsistent dimensions");
+      }
+      // The overlay and the verify rescan walk victims in row order.
+      for (size_t i = 0; i < ck.victims.size(); ++i) {
+        if (ck.victims[i] >= db.size()) {
+          return Status::Corruption("checkpoint victim index out of range");
+        }
+        if (i > 0 && ck.victims[i] <= ck.victims[i - 1]) {
+          return Status::Corruption("checkpoint victims are not ascending");
+        }
       }
       resumed = true;
     } else if (loaded.status().IsNotFound()) {
@@ -330,7 +246,9 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
   // bits, needed by the incremental verify. Carried through checkpoints
   // so a resumed run never re-runs the count stage.
   std::vector<uint8_t> victim_support;
-  // Per-victim mark-stage outcomes (indexes parallel `victims`).
+  // Per-victim mark-stage outcomes (indexes parallel `victims`): the
+  // sanitized copy of the row — the overlay entry — and its marks.
+  std::vector<Sequence> sanitized;
   std::vector<size_t> marks;
   std::vector<std::vector<size_t>> positions;
   std::vector<uint8_t> skipped;
@@ -360,31 +278,24 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     selection_done = true;
     SEQHIDE_TELEMETRY(kCheckpoint, "resume", start_round, victims.size());
 
+    sanitized.assign(victims.size(), Sequence());
     marks.assign(victims.size(), 0);
     positions.assign(victims.size(), {});
     skipped.assign(victims.size(), 0);
-    // Replay the completed victims' marks onto the fresh database.
+    // Rebuild the completed victims' overlay rows from their marks.
     for (size_t i = 0; i < ck.completed.size(); ++i) {
-      const size_t t = victims[i];
-      if (t >= db->size()) {
-        return Status::Corruption("checkpoint victim index out of range");
-      }
-      Sequence* seq = db->mutable_sequence(t);
+      sanitized[i] = db.row(victims[i]).Materialize();
       for (uint64_t pos : ck.completed[i].marked_positions) {
-        if (pos >= seq->size()) {
+        if (pos >= sanitized[i].size()) {
           return Status::Corruption("checkpoint mark position out of range");
         }
-        seq->Mark(static_cast<size_t>(pos));
+        sanitized[i].Mark(static_cast<size_t>(pos));
         positions[i].push_back(static_cast<size_t>(pos));
       }
       marks[i] = ck.completed[i].marked_positions.size();
       skipped[i] = ck.completed[i].skipped;
     }
   } else {
-    // Optional inverted index: prunes the sequences that need any DP work.
-    std::optional<InvertedIndex> index;
-    if (opts.use_index) index.emplace(*db);
-
     // Stage 1 of Algorithm 1: matching-set sizes for every sequence
     // (Lemma 2 / Lemma 4 DPs), row-partitioned across the pool. The
     // per-pattern supports fall out of the same pass — pattern_support[p]
@@ -394,15 +305,9 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     {
       obs::ScopedTimer stage_timer(&report.stages.count_seconds);
       SEQHIDE_TRACE_SPAN("count");
-      if (index) {
-        info = ComputeMatchInfoIndexed(*db, patterns, constraints, *index,
-                                       match_kernel, threads,
-                                       &report.count_rows);
-      } else {
-        info = ComputeMatchInfo(DatabaseView(*db), patterns, constraints,
-                                threads, match_kernel);
-        report.count_rows = db->size() * num_patterns;
-      }
+      info = ComputeMatchInfo(db, patterns, constraints, threads,
+                              match_kernel);
+      report.count_rows = db.size() * num_patterns;
       report.supports_before.assign(num_patterns, 0);
       for (const auto& i : info) {
         if (i.matching_count > 0) ++report.sequences_supporting_before;
@@ -426,11 +331,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
               info, opts.per_pattern_psi);
         } else {
           victims =
-              SelectSequencesToSanitize(*db, info, opts.global, opts.psi, &rng);
+              SelectSequencesToSanitize(db, info, opts.global, opts.psi, &rng);
         }
       }
       SEQHIDE_GAUGE_SET("sanitize.victims", victims.size());
-      SEQHIDE_TELEMETRY(kVictims, "selected", victims.size(), db->size());
+      SEQHIDE_TELEMETRY(kVictims, "selected", victims.size(), db.size());
       SEQHIDE_TELEMETRY(kStage, "select.done", victims.size(), num_patterns);
       rng_after_select = rng.SaveState();
       selection_done = true;
@@ -443,12 +348,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
           }
         }
       }
+      sanitized.assign(victims.size(), Sequence());
       marks.assign(victims.size(), 0);
       positions.assign(victims.size(), {});
       skipped.assign(victims.size(), 0);
     }
-    // The database is about to change; any pre-sanitization index is stale.
-    index.reset();
   }
 
   const size_t round_size = opts.mark_round_size;
@@ -511,12 +415,12 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     if (stop == StatusCode::kOk) stop = budget_stop();
   }
 
-  // Stage 3: destroy all matchings inside each victim, in rounds of
-  // round_size. Victims are independent, so each round row-partitions
-  // over the pool; a per-victim generator keyed on (seed, sequence index)
-  // plus per-victim mark slots make the result identical for any thread
-  // count — and independent of where rounds start, so a resumed run
-  // reproduces an uninterrupted one exactly.
+  // Stage 3: copy each victim out of the view and destroy every matching
+  // inside the copy, in rounds of round_size. Victims are independent, so
+  // each round row-partitions over the pool; a per-victim generator keyed
+  // on (seed, sequence index) plus per-victim slots make the result
+  // identical for any thread count — and independent of where rounds
+  // start, so a resumed run reproduces an uninterrupted one exactly.
   {
     obs::ScopedTimer stage_timer(&report.stages.mark_seconds);
     SEQHIDE_TRACE_SPAN("mark");
@@ -531,9 +435,10 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
             for (size_t i = begin; i < end; ++i) {
               const size_t vi = vbegin + i;
               const size_t t = victims[vi];
+              sanitized[vi] = db.row(t).Materialize();
               Rng local_rng(opts.seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
               LocalSanitizeResult local = SanitizeSequence(
-                  db->mutable_sequence(t), patterns, constraints, opts.local,
+                  &sanitized[vi], patterns, constraints, opts.local,
                   &local_rng, &scratch);
               SEQHIDE_DCHECK(local.exhausted || local.marks_introduced > 0)
                   << "selected sequence had no matchings";
@@ -620,6 +525,12 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     // Victims the run never reached (budget stop) simply still support
     // whatever they supported before, so the identity holds for degraded
     // runs too — supports_after is exact, not an estimate.
+    //
+    // Victim i as the sanitized database holds it: its overlay row once
+    // the mark stage processed it, the untouched input row otherwise.
+    auto victim_row = [&](size_t i) -> SequenceView {
+      return i < processed ? SequenceView(sanitized[i]) : db.row(victims[i]);
+    };
     std::vector<uint8_t> victim_still_supports(victims.size() * num_patterns,
                                                0);
     SEQHIDE_COUNTER_ADD("sanitize.verify_recount_rows", victims.size());
@@ -628,10 +539,9 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
         victims.size(), threads, [&](size_t begin, size_t end) {
           MatchScratch scratch;
           for (size_t i = begin; i < end; ++i) {
-            const size_t t = victims[i];
             for (size_t p = 0; p < num_patterns; ++p) {
               if (!victim_support[i * num_patterns + p]) continue;
-              if (match_kernel.HasMatch(p, (*db)[t], &scratch)) {
+              if (match_kernel.HasMatch(p, victim_row(i), &scratch)) {
                 victim_still_supports[i * num_patterns + p] = 1;
               }
             }
@@ -664,11 +574,31 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
       // disclosure requirement itself. The cross-check stays on in
       // degraded runs (the arithmetic must hold regardless); the
       // disclosure check is skipped — a degraded run *reports* exposure
-      // through `exposed` instead of failing.
-      report.verify_rescan_rows = db->size() * num_patterns;
+      // through `exposed` instead of failing. Per-chunk hit counts are
+      // reduced in chunk order, so the totals are thread-count-independent.
+      report.verify_rescan_rows = db.size() * num_patterns;
+      const auto processed_end =
+          victims.begin() + static_cast<std::ptrdiff_t>(processed);
       for (size_t p = 0; p < num_patterns; ++p) {
-        const size_t rescan =
-            ConstrainedSupport(*db, match_kernel, p, threads);
+        SEQHIDE_COUNTER_ADD("sanitize.scan_dp_rows", db.size());
+        const uint64_t hits = ThreadPool::Shared().ParallelReduceSum(
+            db.size(), threads, [&](size_t begin, size_t end) -> uint64_t {
+              MatchScratch scratch;
+              uint64_t count = 0;
+              // Victims are ascending: one search per chunk finds the
+              // first overlay row at or after `begin`, then a cursor
+              // follows the rows in step.
+              size_t k = static_cast<size_t>(
+                  std::lower_bound(victims.begin(), processed_end, begin) -
+                  victims.begin());
+              for (size_t t = begin; t < end; ++t) {
+                SequenceView row = db.row(t);
+                if (k < processed && victims[k] == t) row = sanitized[k++];
+                if (match_kernel.HasMatch(p, row, &scratch)) ++count;
+              }
+              return count;
+            });
+        const size_t rescan = static_cast<size_t>(hits);
         if (rescan != report.supports_after[p]) {
           return Status::Internal(
               "incremental supports-after mismatch for pattern " +
@@ -696,14 +626,41 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     std::remove(opts.checkpoint_path.c_str());
   }
 
+  result.overlay.reserve(processed);
+  for (size_t i = 0; i < processed; ++i) {
+    result.overlay.emplace_back(victims[i], std::move(sanitized[i]));
+  }
   report.elapsed_seconds = timer.ElapsedSeconds();
-  return report;
+  return result;
+}
+
+Result<SanitizeReport> Sanitize(SequenceDatabase* db,
+                                const std::vector<Sequence>& patterns,
+                                const std::vector<ConstraintSpec>& constraints,
+                                const SanitizeOptions& opts) {
+  SEQHIDE_CHECK(db != nullptr);
+  auto result = Sanitize(DatabaseView(*db), patterns, constraints, opts);
+  if (!result.ok()) return result.status();
+  SEQHIDE_RETURN_IF_ERROR(ApplyMarkOverlay(std::move(result->overlay), db));
+  return std::move(result->report);
 }
 
 Result<SanitizeReport> Sanitize(SequenceDatabase* db,
                                 const std::vector<Sequence>& patterns,
                                 const SanitizeOptions& opts) {
   return Sanitize(db, patterns, {}, opts);
+}
+
+Status ApplyMarkOverlay(MarkOverlay overlay, SequenceDatabase* db) {
+  SEQHIDE_CHECK(db != nullptr);
+  for (const auto& [t, row] : overlay) {
+    if (t >= db->size()) {
+      return Status::InvalidArgument("overlay row " + std::to_string(t) +
+                                     " is out of range for this database");
+    }
+  }
+  for (auto& [t, row] : overlay) *db->mutable_sequence(t) = std::move(row);
+  return Status::OK();
 }
 
 }  // namespace seqhide

@@ -10,7 +10,26 @@
 //      (local stage, hide/local.h).
 // The result satisfies sup_{D'}(S_i) ≤ ψ for every sensitive pattern.
 //
-// This header is the main public entry point of the library.
+// This header is the main public entry point of the library. There is one
+// pipeline: Sanitize() over a read-only DatabaseView, which never writes
+// its input and returns the changed rows as a MarkOverlay. The view may
+// adapt an in-memory SequenceDatabase or sit zero-copy on a mapped
+// seqhidb image (MappedDatabase::view()); only the victim rows are ever
+// copied. Sanitize(SequenceDatabase*) is a thin sink that moves the
+// overlay rows into the database.
+//
+// Determinism contract: for identical inputs and options the overlay, and
+// every report field but the timings, is the same whichever view
+// representation and thread count the run used — so the overlay applied
+// to a mapped image equals, row for row and mark for mark, what
+// Sanitize(SequenceDatabase*) leaves in the materialized database. Every
+// random choice is keyed on the inputs only: victim selection draws from
+// Rng(seed) after a count stage whose result does not depend on the
+// representation, and each victim's local marking uses
+// Rng(seed ^ (golden_ratio * (row_index + 1))), a pure function of the
+// seed and the row's position. Checkpoints fingerprint the view's rows and
+// alphabet, so a run interrupted on one representation resumes on the
+// other. The property suites pin this equivalence.
 
 #ifndef SEQHIDE_HIDE_SANITIZER_H_
 #define SEQHIDE_HIDE_SANITIZER_H_
@@ -25,6 +44,7 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/seq/database.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
@@ -81,8 +101,8 @@ struct SanitizeReport {
   // deterministic — identical for every thread count — so rows/worker
   // (the load-balance figure) is rows / threads_used.
   //
-  // count_rows: (sequence, pattern) DP evaluations in stage 1 (index
-  // pruning shrinks this). verify_recount_rows: victim rows recounted for
+  // count_rows: (sequence, pattern) DP evaluations in stage 1 (|D| ×
+  // |S_h|). verify_recount_rows: victim rows recounted for
   // the incremental supports-after. verify_rescan_rows: full-database
   // rows rescanned by the opts.verify cross-check (0 when verify=false).
   size_t threads_used = 1;
@@ -126,8 +146,20 @@ struct SanitizeReport {
   std::string ToString() const;
 };
 
-// Sanitizes `db` in place. `constraints` must be empty (all patterns
-// unconstrained) or parallel to `patterns`.
+// What Sanitize() over a view returns: the report plus the mark overlay.
+struct SanitizeResult {
+  SanitizeReport report;
+  // (row index, sanitized row) for every victim the mark stage processed,
+  // ascending by row index. Rows not listed are unchanged. A
+  // budget-stopped run lists only the victims of completed rounds (the
+  // rest were never touched).
+  MarkOverlay overlay;
+};
+
+// Runs Algorithm 1 over `db` without writing to it. `constraints` must be
+// empty (all patterns unconstrained) or parallel to `patterns`. Write the
+// result with WriteDatabase(db, overlay, ...) (src/seq/io.h) or apply it
+// with ApplyMarkOverlay().
 //
 // Errors:
 //   InvalidArgument — empty/duplicate patterns, a pattern containing Δ,
@@ -137,6 +169,15 @@ struct SanitizeReport {
 //                     either a pattern's support still exceeds its ψ, or
 //                     the full-rescan cross-check disagrees with the
 //                     incremental supports-after.
+//   Corruption / FailedPrecondition — opts.resume found a damaged
+//                     checkpoint, or one written for different inputs.
+Result<SanitizeResult> Sanitize(const DatabaseView& db,
+                                const std::vector<Sequence>& patterns,
+                                const std::vector<ConstraintSpec>& constraints,
+                                const SanitizeOptions& opts);
+
+// Sanitizes `db` in place: the view pipeline above, then its overlay moved
+// into `db`. Same arguments and errors; on error `db` is unchanged.
 Result<SanitizeReport> Sanitize(SequenceDatabase* db,
                                 const std::vector<Sequence>& patterns,
                                 const std::vector<ConstraintSpec>& constraints,
@@ -146,6 +187,10 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
 Result<SanitizeReport> Sanitize(SequenceDatabase* db,
                                 const std::vector<Sequence>& patterns,
                                 const SanitizeOptions& opts);
+
+// Moves the overlay's rows into `db`. InvalidArgument (db unchanged) when
+// a row index is past the end of `db`.
+Status ApplyMarkOverlay(MarkOverlay overlay, SequenceDatabase* db);
 
 }  // namespace seqhide
 

@@ -5,8 +5,9 @@
 // for every pattern; an inverted index prunes that to the sequences that
 // contain every pattern symbol with sufficient multiplicity (a superset
 // of the true supporters, verified by the exact subsequence test).
-// bench_kernels quantifies the speedup; the Sanitizer uses the index
-// automatically (SanitizeOptions::use_index).
+// bench_kernels quantifies the speedup. Sanitize() does not use it: for
+// one-shot sanitization the index build costs more than the pruning saves
+// (EXPERIMENTS.md), so the pipeline always runs the counting scan.
 //
 // The index is a snapshot: it refers to sequence ids of the database it
 // was built from and must be rebuilt after mutations.

@@ -172,27 +172,59 @@ Result<SequenceDatabase> ReadDatabaseFromString(const std::string& text) {
   return ReadDatabaseFromString(text, ReadOptions{});
 }
 
-Status WriteDatabase(const SequenceDatabase& db, std::ostream& out) {
+Status WriteDatabase(const DatabaseView& db, const MarkOverlay& overlay,
+                     std::ostream& out) {
   if (SEQHIDE_FAULT_HIT("io.db.write")) {
     return Status::IOError("injected fault: io.db.write");
   }
+  for (size_t i = 0; i < overlay.size(); ++i) {
+    if (overlay[i].first >= db.size() ||
+        (i > 0 && overlay[i].first <= overlay[i - 1].first)) {
+      return Status::InvalidArgument(
+          "overlay row " + std::to_string(overlay[i].first) +
+          " is out of range or out of order for a database of " +
+          std::to_string(db.size()) + " rows");
+    }
+  }
+  const Alphabet& alphabet = db.alphabet();
   out << "# seqhide sequence database; |D|=" << db.size()
-      << " |Sigma|=" << db.alphabet().size() << "\n";
-  for (const auto& seq : db.sequences()) {
-    out << seq.ToString(db.alphabet()) << "\n";
+      << " |Sigma|=" << alphabet.size() << "\n";
+  std::string line;  // reused: one buffer for the whole file
+  size_t next = 0;   // cursor into the ascending overlay
+  for (size_t t = 0; t < db.size(); ++t) {
+    SequenceView row = db.row(t);
+    if (next < overlay.size() && overlay[next].first == t) {
+      row = overlay[next++].second;
+    }
+    line.clear();
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) line += ' ';
+      line += alphabet.Name(row[i]);
+    }
+    line += '\n';
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
   }
   if (!out) return Status::IOError("stream write failure");
   return Status::OK();
 }
 
-Status WriteDatabaseToFile(const SequenceDatabase& db,
+Status WriteDatabaseToFile(const DatabaseView& db, const MarkOverlay& overlay,
                            const std::string& path) {
   if (SEQHIDE_FAULT_HIT("io.db.write.open")) {
     return Status::IOError("injected fault: io.db.write.open (" + path + ")");
   }
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  return WriteDatabase(db, out);
+  return WriteDatabase(db, overlay, out);
+}
+
+Status WriteDatabase(const SequenceDatabase& db, std::ostream& out) {
+  return WriteDatabase(DatabaseView(db), {}, out);
+}
+
+Status WriteDatabaseToFile(const SequenceDatabase& db,
+                           const std::string& path) {
+  return WriteDatabaseToFile(DatabaseView(db), {}, path);
 }
 
 std::string WriteDatabaseToString(const SequenceDatabase& db) {

@@ -31,6 +31,7 @@
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/seq/database.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
@@ -94,6 +95,17 @@ Status WriteDatabase(const SequenceDatabase& db, std::ostream& out);
 Status WriteDatabaseToFile(const SequenceDatabase& db,
                            const std::string& path);
 std::string WriteDatabaseToString(const SequenceDatabase& db);
+
+// Streams `db` with `overlay`'s rows swapped in, under db.alphabet():
+// byte-identical to writing the database the overlay was applied to,
+// without materializing it. InvalidArgument (nothing written) when the
+// overlay is not ascending or names a row past the end. The writers above
+// delegate here, so the io.db.write / io.db.write.open fault sites sit on
+// this one path.
+Status WriteDatabase(const DatabaseView& db, const MarkOverlay& overlay,
+                     std::ostream& out);
+Status WriteDatabaseToFile(const DatabaseView& db, const MarkOverlay& overlay,
+                           const std::string& path);
 
 // Parses "strict" / "lenient" (the CLI's --input-mode values).
 Result<InputMode> ParseInputMode(const std::string& text);

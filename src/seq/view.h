@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/seq/alphabet.h"
@@ -82,7 +83,11 @@ class DatabaseView {
   DatabaseView() = default;
 
   // Adapter over an in-memory database; O(|D|) pointers, no symbol copies.
-  explicit DatabaseView(const SequenceDatabase& db);
+  // `alphabet` defaults to db's own; pass a superset of it (a private
+  // copy sensitive patterns were parsed into, with extra symbols interned)
+  // to have writers and run fingerprints see that alphabet instead.
+  explicit DatabaseView(const SequenceDatabase& db,
+                        const Alphabet* alphabet = nullptr);
 
   // Columnar representation: row t spans columns[row_offsets[t] ..
   // row_offsets[t+1]). The offsets are NOT trusted: the mapped reader
@@ -125,6 +130,11 @@ class DatabaseView {
   size_t num_symbols_ = 0;
   const Alphabet* alphabet_ = nullptr;
 };
+
+// Replacement rows over a DatabaseView: (row index, new row) pairs,
+// ascending by row index. What Sanitize() returns instead of mutating its
+// input — rows not listed are unchanged and read from the view.
+using MarkOverlay = std::vector<std::pair<size_t, Sequence>>;
 
 }  // namespace seqhide
 

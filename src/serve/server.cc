@@ -196,9 +196,8 @@ Status Server::LoadDatabase() {
   if (binary) {
     SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
                              MappedDatabase::OpenMapped(opts_.db_path));
-    // Sanitize requests mutate a private in-memory copy; materialize it
-    // once (validating the full image in the process) so every request
-    // starts from a cheap copy instead of an O(file) conversion.
+    // Sanitize requests and the batcher read an in-memory image;
+    // materialize it once (validating the full image in the process).
     SEQHIDE_ASSIGN_OR_RETURN(master_, mapped.ToDatabase());
     db_fingerprint_ = mapped.header().header_fnv;
     mapped_.emplace(std::move(mapped));
@@ -885,14 +884,17 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     }
   }
 
-  // Sanitization mutates; the serving image never does. Every request
-  // gets a private copy of the master database.
-  SequenceDatabase db = master_;
+  // The serving image is never written: Sanitize() reads it through a
+  // view and returns the changed rows as an overlay. Patterns are parsed
+  // into a private alphabet copy (unseen symbols get fresh ids that match
+  // no row); the view carries that alphabet, so the run fingerprint and
+  // the written |Sigma| see the symbols the request added.
+  Alphabet alphabet = master_.alphabet();
   std::vector<Sequence> patterns;
   std::vector<ConstraintSpec> constraints;
   patterns.reserve(req.patterns.size());
   for (const std::string& text : req.patterns) {
-    auto p = ParseConstrainedPattern(&db.alphabet(), text);
+    auto p = ParseConstrainedPattern(&alphabet, text);
     if (!p.ok()) {
       if (!spec_path.empty()) (void)::unlink(spec_path.c_str());
       return ErrorResponse(req.id, p.status());
@@ -901,51 +903,52 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     constraints.push_back(std::move(p->constraints));
   }
 
-  auto run = [&]() { return Sanitize(&db, patterns, constraints, opts); };
-  auto report = run();
-  if (!report.ok() && opts.resume &&
-      (report.status().IsCorruption() || report.status().IsIOError() ||
-       report.status().IsFailedPrecondition())) {
+  const DatabaseView view(master_, &alphabet);
+  auto run = [&]() { return Sanitize(view, patterns, constraints, opts); };
+  auto result = run();
+  if (!result.ok() && opts.resume &&
+      (result.status().IsCorruption() || result.status().IsIOError() ||
+       result.status().IsFailedPrecondition())) {
     // A checkpoint this run cannot use (corrupt, torn, or from different
     // inputs) must not wedge recovery: drop it and run fresh.
     SEQHIDE_LOG(Warn) << "job '" << req.job << "': checkpoint unusable ("
-                      << report.status().ToString() << "); restarting fresh";
+                      << result.status().ToString() << "); restarting fresh";
     (void)::unlink(opts.checkpoint_path.c_str());
     opts.resume = false;
-    db = master_;
-    report = run();
+    result = run();
   }
-  if (!report.ok()) {
+  if (!result.ok()) {
     // Terminal failure: answer it and retire the job — re-running a
     // request the engine rejects would crash-loop recovery forever.
     if (!spec_path.empty()) {
       (void)::unlink(spec_path.c_str());
       (void)::unlink(opts.checkpoint_path.c_str());
     }
-    return ErrorResponse(req.id, report.status());
+    return ErrorResponse(req.id, result.status());
   }
+  const SanitizeReport& report = result->report;
 
   Response resp;
   resp.id = req.id;
   resp.has_sanitize = true;
   SanitizeSummary& s = resp.sanitize;
-  s.marks_introduced = report->marks_introduced;
-  s.sequences_sanitized = report->sequences_sanitized;
-  s.supports_before.assign(report->supports_before.begin(),
-                           report->supports_before.end());
-  s.supports_after.assign(report->supports_after.begin(),
-                          report->supports_after.end());
-  s.degraded = report->degraded;
-  s.rounds_completed = report->rounds_completed;
-  s.rounds_total = report->rounds_total;
+  s.marks_introduced = report.marks_introduced;
+  s.sequences_sanitized = report.sequences_sanitized;
+  s.supports_before.assign(report.supports_before.begin(),
+                           report.supports_before.end());
+  s.supports_after.assign(report.supports_after.begin(),
+                          report.supports_after.end());
+  s.degraded = report.degraded;
+  s.rounds_completed = report.rounds_completed;
+  s.rounds_total = report.rounds_total;
 
-  if (report->degraded) {
-    s.stop_reason = std::string(WireStatus(report->stop_reason));
+  if (report.degraded) {
+    s.stop_reason = std::string(WireStatus(report.stop_reason));
     resp.status = s.stop_reason;
     resp.error = "sanitize stopped early (" + s.stop_reason + "); " +
-                 std::to_string(report->rounds_completed) + "/" +
-                 std::to_string(report->rounds_total) + " rounds";
-    if (report->stop_reason == StatusCode::kCancelled) {
+                 std::to_string(report.rounds_completed) + "/" +
+                 std::to_string(report.rounds_total) + " rounds";
+    if (report.stop_reason == StatusCode::kCancelled) {
       // Disconnect or drain: the checkpoint and spec stay — the job is
       // re-run to completion at the next startup, byte-identical to an
       // uninterrupted run.
@@ -960,7 +963,7 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     return resp;
   }
 
-  const Status written = WriteDatabaseToFile(db, req.out);
+  const Status written = WriteDatabaseToFile(view, result->overlay, req.out);
   if (!spec_path.empty()) {
     // Success (the checkpoint was already deleted by Sanitize) or a
     // definitively answered write failure either way retires the spec.

@@ -40,7 +40,8 @@ std::string TimedSequence::ToString(const Alphabet& alphabet) const {
   for (size_t i = 0; i < events_.size(); ++i) {
     if (i > 0) out += " ";
     out += alphabet.Name(events_[i].symbol);
-    out += "@" + std::to_string(events_[i].time);
+    out += "@";
+    out += std::to_string(events_[i].time);
   }
   return out;
 }

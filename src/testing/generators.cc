@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 
 namespace seqhide {
 namespace proptest {
@@ -44,7 +45,7 @@ SequenceDatabase GenDatabase(Rng* rng, const GenOptions& opts) {
   // Pre-intern so ids are stable regardless of which symbols a random
   // database happens to use.
   for (size_t s = 0; s < sigma; ++s) {
-    db.alphabet().Intern("s" + std::to_string(s));
+    db.alphabet().Intern(StrCat({"s", std::to_string(s)}));
   }
   size_t rows = Between(rng, opts.min_sequences, opts.max_sequences);
   for (size_t i = 0; i < rows; ++i) {
@@ -150,7 +151,9 @@ SanitizeOptions GenSanitizeOptions(Rng* rng, size_t db_size) {
   opts.seed = rng->NextU64();
   static constexpr size_t kThreadChoices[] = {1, 2, 3, 8};
   opts.num_threads = kThreadChoices[rng->NextBounded(4)];
-  opts.use_index = rng->NextBernoulli(0.3);
+  // Retired option (the index-pruned count path): the draw stays so that
+  // every later draw, and every SEQHIDE_PROP_SEED repro line, is unchanged.
+  (void)rng->NextBernoulli(0.3);
   opts.verify = true;
   SEQHIDE_CHECK(opts.Validate().ok());
   return opts;
@@ -239,8 +242,7 @@ std::string PropInstance::DebugString() const {
          " global=" + ToString(options.global) +
          " psi=" + std::to_string(options.psi) +
          " seed=" + std::to_string(options.seed) +
-         " threads=" + std::to_string(options.num_threads) +
-         (options.use_index ? " use_index" : "") + "\n";
+         " threads=" + std::to_string(options.num_threads) + "\n";
   return out;
 }
 

@@ -154,9 +154,7 @@ ShrinkResult ShrinkInstance(const PropInstance& failing,
     {
       PropInstance plain = result.instance;
       plain.options.num_threads = 1;
-      plain.options.use_index = false;
-      if (plain.options.num_threads != result.instance.options.num_threads ||
-          plain.options.use_index != result.instance.options.use_index) {
+      if (plain.options.num_threads != result.instance.options.num_threads) {
         if (try_adopt(std::move(plain))) progress = true;
       }
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/seq/binary_format.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -248,31 +249,31 @@ TEST(CheckpointTest, FingerprintSeparatesRuns) {
   SanitizeOptions opts = SanitizeOptions::HH();
   opts.psi = 1;
 
-  const uint64_t base = ComputeRunFingerprint(db, patterns, constraints, opts);
-  EXPECT_EQ(base, ComputeRunFingerprint(db, patterns, constraints, opts))
+  const uint64_t base = ComputeRunFingerprint(DatabaseView(db), patterns, constraints, opts);
+  EXPECT_EQ(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, opts))
       << "fingerprint must be deterministic";
 
   // Result-affecting changes move the fingerprint...
   SanitizeOptions other = opts;
   other.psi = 0;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, other));
   other = opts;
   other.seed = 999;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, other));
   other = opts;
   other.local = LocalStrategy::kRandom;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, other));
   other = opts;
   other.mark_round_size = 7;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, other));
 
   SequenceDatabase db2 = db;
   db2.AddFromNames({"b"});
-  EXPECT_NE(base, ComputeRunFingerprint(db2, patterns, constraints, opts));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db2), patterns, constraints, opts));
 
   std::vector<ConstraintSpec> gap(patterns.size(),
                                   ConstraintSpec::UniformGap(0, 2));
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, gap, opts));
+  EXPECT_NE(base, ComputeRunFingerprint(DatabaseView(db), patterns, gap, opts));
 
   // ...while execution-only knobs do not (a resume may legally use a
   // different thread count or budget).
@@ -281,7 +282,60 @@ TEST(CheckpointTest, FingerprintSeparatesRuns) {
   other.budget.deadline_seconds = 1.0;
   other.budget.max_mark_rounds = 5;
   other.checkpoint_path = "/elsewhere.ckpt";
-  EXPECT_EQ(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_EQ(base, ComputeRunFingerprint(DatabaseView(db), patterns, constraints, other));
+}
+
+// Digests are persisted inside checkpoints, so they must not drift
+// between releases: these values were computed by the previous release
+// (the one whose SanitizeOptions still had use_index) for the same inputs.
+TEST(CheckpointTest, FingerprintMatchesPinnedDigests) {
+  SequenceDatabase db;
+  db.AddFromNames({"a", "b", "c"});
+  db.AddFromNames({"a", "c", "b", "a"});
+  db.AddFromNames({"c", "a", "b", "b", "a"});
+  std::vector<Sequence> patterns = {
+      Sequence::FromNames(&db.alphabet(), {"a", "b"}),
+      Sequence::FromNames(&db.alphabet(), {"c", "a", "b"})};
+  SanitizeOptions opts = SanitizeOptions::HH();
+  opts.psi = 1;
+  EXPECT_EQ(ComputeRunFingerprint(DatabaseView(db), patterns, {}, opts),
+            0xeca01a44facda88bULL);
+  // A mapped image of the same rows and alphabet fingerprints the same, so
+  // a checkpoint written on one representation resumes on the other.
+  auto image = WriteBinaryDatabaseToString(db);
+  ASSERT_TRUE(image.ok()) << image.status();
+  auto mapped = MappedDatabase::FromBuffer(*image);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_EQ(ComputeRunFingerprint(mapped->view(), patterns, {}, opts),
+            0xeca01a44facda88bULL);
+
+  // Constraint text is hashed through ConstraintSpec::ToString().
+  std::vector<ConstraintSpec> constraints = {
+      ConstraintSpec::UniformGap(0, 2),
+      ConstraintSpec::PerArrow({GapBound{1, 3}, GapBound{0, GapBound::kNoMax}})
+          .SetMaxWindow(6)};
+  EXPECT_EQ(constraints[0].ToString(), "gap[0..2]");
+  EXPECT_EQ(constraints[1].ToString(), "gaps([1..3],[0..]) window<=6");
+  SanitizeOptions rr = SanitizeOptions::RR(7);
+  rr.per_pattern_psi = {1, 2};
+  rr.mark_round_size = 3;
+  EXPECT_EQ(ComputeRunFingerprint(DatabaseView(db), patterns, constraints, rr),
+            0x34696976a1b00cefULL);
+
+  // A pattern naming a symbol the database lacks: the alphabet hashed is
+  // the one the pattern was parsed into, whether that is the database's
+  // own or a private copy the view carries.
+  const uint64_t kExtraSymbol = 0x4f9276a642b9fe3aULL;
+  SequenceDatabase interned = db;
+  std::vector<Sequence> extra = {
+      Sequence::FromNames(&interned.alphabet(), {"a", "z"})};
+  EXPECT_EQ(ComputeRunFingerprint(DatabaseView(interned), extra, {}, opts),
+            kExtraSymbol);
+  Alphabet private_copy = db.alphabet();
+  extra = {Sequence::FromNames(&private_copy, {"a", "z"})};
+  EXPECT_EQ(ComputeRunFingerprint(DatabaseView(db, &private_copy), extra, {},
+                                  opts),
+            kExtraSymbol);
 }
 
 }  // namespace

@@ -1,17 +1,18 @@
-// Differential tests for SanitizeMapped (src/hide/mapped_sanitize.h):
-// the overlay pipeline over a mapped seqhidb image must reproduce
-// Sanitize() on the materialized database exactly — same report, same
-// final rows, same text serialization — across strategy combinations,
-// thread counts, constraints, multi-threshold ψ, and budget stops.
+// Differential tests for Sanitize() over a mapped seqhidb image
+// (src/hide/sanitizer.h): the overlay it returns for MappedDatabase::view()
+// must reproduce Sanitize() on the materialized database exactly — same
+// report, same final rows, same text serialization — across strategy
+// combinations, thread counts, constraints, multi-threshold ψ, budget
+// stops, and checkpoint/resume.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/hide/mapped_sanitize.h"
 #include "src/hide/sanitizer.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
@@ -28,6 +29,15 @@ MappedDatabase Map(const SequenceDatabase& db) {
   return std::move(mapped).value();
 }
 
+// The sanitized database: ToDatabase() with the overlay's rows swapped in.
+Result<SequenceDatabase> ApplySanitizeOverlay(const MappedDatabase& mapped,
+                                              const SanitizeResult& result) {
+  auto db = mapped.ToDatabase();
+  SEQHIDE_RETURN_IF_ERROR(db.status());
+  SEQHIDE_RETURN_IF_ERROR(ApplyMarkOverlay(result.overlay, &db.value()));
+  return db;
+}
+
 void ExpectSameOutcome(const SequenceDatabase& original,
                        const std::vector<Sequence>& patterns,
                        const std::vector<ConstraintSpec>& constraints,
@@ -37,7 +47,7 @@ void ExpectSameOutcome(const SequenceDatabase& original,
   ASSERT_TRUE(expected.ok()) << what << ": " << expected.status();
 
   MappedDatabase mapped = Map(original);
-  auto actual = SanitizeMapped(mapped, patterns, constraints, opts);
+  auto actual = Sanitize(mapped.view(), patterns, constraints, opts);
   ASSERT_TRUE(actual.ok()) << what << ": " << actual.status();
 
   const SanitizeReport& e = *expected;
@@ -63,7 +73,8 @@ void ExpectSameOutcome(const SequenceDatabase& original,
     EXPECT_EQ((*materialized)[t], in_memory[t]) << what << " row " << t;
   }
   std::ostringstream streamed;
-  ASSERT_TRUE(WriteSanitizedDatabase(mapped, *actual, streamed).ok()) << what;
+  ASSERT_TRUE(WriteDatabase(mapped.view(), actual->overlay, streamed).ok())
+      << what;
   EXPECT_EQ(streamed.str(), WriteDatabaseToString(in_memory)) << what;
 }
 
@@ -97,15 +108,11 @@ TEST(MappedSanitizeTest, MatchesInMemoryWithConstraintsAndThreads) {
     constraints.push_back(proptest::GenConstraintSpec(&rng, p.size(), 12));
   }
   for (size_t threads : {size_t{1}, size_t{3}}) {
-    for (bool use_index : {false, true}) {
-      SanitizeOptions opts;
-      opts.psi = 1;
-      opts.num_threads = threads;
-      opts.use_index = use_index;
-      ExpectSameOutcome(db, patterns, constraints, opts,
-                        "threads=" + std::to_string(threads) +
-                            " use_index=" + std::to_string(use_index));
-    }
+    SanitizeOptions opts;
+    opts.psi = 1;
+    opts.num_threads = threads;
+    ExpectSameOutcome(db, patterns, constraints, opts,
+                      "threads=" + std::to_string(threads));
   }
 }
 
@@ -132,26 +139,54 @@ TEST(MappedSanitizeTest, BudgetStopDegradesIdentically) {
   ExpectSameOutcome(db, patterns, {}, opts, "budget-stop");
 }
 
-TEST(MappedSanitizeTest, RejectsCheckpointingOptions) {
+TEST(MappedSanitizeTest, BudgetStoppedRunResumesToUninterruptedBytes) {
   Rng rng(233);
-  SequenceDatabase db = testutil::RandomDb(&rng, 10, 2, 8, 3);
+  SequenceDatabase db = testutil::RandomDb(&rng, 40, 3, 12, 3);
   MappedDatabase mapped = Map(db);
   std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 3)};
   SanitizeOptions opts;
-  opts.checkpoint_path = ::testing::TempDir() + "/mapped_sanitize.ckpt";
-  auto r = SanitizeMapped(mapped, patterns, opts);
-  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  opts.mark_round_size = 2;
+  auto whole = Sanitize(mapped.view(), patterns, {}, opts);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  ASSERT_GT(whole->report.rounds_total, 2u);
+  std::ostringstream expected;
+  ASSERT_TRUE(WriteDatabase(mapped.view(), whole->overlay, expected).ok());
+
+  const std::string ckpt = ::testing::TempDir() + "/mapped_sanitize.ckpt";
+  std::remove(ckpt.c_str());
+  SanitizeOptions stopped = opts;
+  stopped.checkpoint_path = ckpt;
+  stopped.budget.max_mark_rounds = 1;
+  auto first = Sanitize(mapped.view(), patterns, {}, stopped);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->report.degraded);
+  EXPECT_EQ(first->report.rounds_completed, 1u);
+
+  SanitizeOptions resumed = opts;
+  resumed.checkpoint_path = ckpt;
+  resumed.resume = true;
+  auto second = Sanitize(mapped.view(), patterns, {}, resumed);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->report.resumed);
+  EXPECT_FALSE(second->report.degraded);
+  EXPECT_EQ(second->report.marks_introduced, whole->report.marks_introduced);
+  EXPECT_EQ(second->report.supports_after, whole->report.supports_after);
+  std::ostringstream streamed;
+  ASSERT_TRUE(WriteDatabase(mapped.view(), second->overlay, streamed).ok());
+  EXPECT_EQ(streamed.str(), expected.str());
+  std::remove(ckpt.c_str());
 }
 
 TEST(MappedSanitizeTest, OverlayHelpersRejectBadRows) {
   Rng rng(239);
   SequenceDatabase db = testutil::RandomDb(&rng, 5, 1, 6, 3);
   MappedDatabase mapped = Map(db);
-  MappedSanitizeResult bogus;
-  bogus.modified_rows.emplace_back(db.size() + 3, db[0]);
+  SanitizeResult bogus;
+  bogus.overlay.emplace_back(db.size() + 3, db[0]);
   EXPECT_TRUE(ApplySanitizeOverlay(mapped, bogus).status().IsInvalidArgument());
   std::ostringstream out;
-  EXPECT_TRUE(WriteSanitizedDatabase(mapped, bogus, out).IsInvalidArgument());
+  EXPECT_TRUE(
+      WriteDatabase(mapped.view(), bogus.overlay, out).IsInvalidArgument());
 }
 
 }  // namespace

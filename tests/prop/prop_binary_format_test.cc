@@ -9,7 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/hide/mapped_sanitize.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
@@ -117,8 +116,8 @@ TEST(BinaryFormatProps, MappedSanitizeEqualsInMemorySanitize) {
     SequenceDatabase in_memory = inst.db;
     auto expected =
         Sanitize(&in_memory, inst.patterns, inst.constraints, inst.options);
-    auto actual =
-        SanitizeMapped(*mapped, inst.patterns, inst.constraints, inst.options);
+    auto actual = Sanitize(mapped->view(), inst.patterns, inst.constraints,
+                           inst.options);
     if (expected.ok() != actual.ok()) {
       return "status mismatch: in-memory " + expected.status().ToString() +
              " vs mapped " + actual.status().ToString();
@@ -137,8 +136,8 @@ TEST(BinaryFormatProps, MappedSanitizeEqualsInMemorySanitize) {
              " vs mapped " + a.ToString();
     }
     std::ostringstream streamed;
-    Status ws = WriteSanitizedDatabase(*mapped, *actual, streamed);
-    if (!ws.ok()) return "WriteSanitizedDatabase: " + ws.ToString();
+    Status ws = WriteDatabase(mapped->view(), actual->overlay, streamed);
+    if (!ws.ok()) return "WriteDatabase: " + ws.ToString();
     if (streamed.str() != WriteDatabaseToString(in_memory)) {
       return std::string("sanitized outputs differ byte-wise");
     }

@@ -103,8 +103,12 @@ std::vector<Request> BuildVolley(const PropInstance& inst) {
   const Alphabet& alphabet = inst.db.alphabet();
   std::vector<std::string> texts;
   for (size_t i = 0; i < inst.patterns.size(); ++i) {
-    texts.push_back(
-        PatternText(alphabet, inst.patterns[i], inst.constraints[i]));
+    // An empty constraints list means "all unconstrained" (GenInstance
+    // emits that form on purpose); it has no entry to read.
+    const ConstraintSpec spec = inst.constraints.empty()
+                                    ? ConstraintSpec()
+                                    : inst.constraints[i];
+    texts.push_back(PatternText(alphabet, inst.patterns[i], spec));
   }
   std::vector<Request> volley;
   std::set<uint64_t> seen;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/hide/sanitizer.h"
 #include "src/obs/json.h"
 #include "src/obs/telemetry/run_ledger.h"
@@ -52,8 +53,8 @@ struct LedgerEvent {
 };
 
 std::string Describe(const LedgerEvent& e) {
-  return "#" + std::to_string(e.event_seq) + " " + e.kind + "/" + e.label +
-         "(" + std::to_string(e.a) + "," + std::to_string(e.b) + ")";
+  return StrCat({"#", std::to_string(e.event_seq), " ", e.kind, "/", e.label,
+                 "(", std::to_string(e.a), ",", std::to_string(e.b), ")"});
 }
 
 // Sanitizes a copy of the instance with `threads` threads while a fresh

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,6 +19,9 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/constraints/constraints.h"
+#include "src/hide/sanitizer.h"
+#include "src/seq/binary_format.h"
 #include "src/seq/io.h"
 #include "src/serve/admission.h"
 #include "src/serve/client.h"
@@ -250,11 +254,16 @@ class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir();
-    db_path_ = dir_ + "/serve_db.txt";
+    // ctest runs every test in its own process, concurrently: per-test
+    // file names keep one test from truncating another's database or
+    // taking over its socket.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    db_path_ = dir_ + "/serve_db_" + name + ".txt";
     std::ofstream out(db_path_);
     out << "a b c a b\nb c a b c\na a b b c\nc b a b a\n";
     out.close();
-    socket_path_ = dir_ + "/serve_test.sock";
+    socket_path_ = dir_ + "/serve_" + name + ".sock";
   }
 
   ServerOptions BaseOptions() {
@@ -334,38 +343,91 @@ TEST_F(ServerTest, PingAndQueriesEndToEnd) {
   EXPECT_EQ(server->stats().requests_ok, 3u);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// What the library writes for a sanitize request run in-process: the
+// server's defaults (HH, seed 1, one thread) on a fresh copy of `db`.
+std::string DirectSanitizeBytes(SequenceDatabase db,
+                                const std::vector<std::string>& texts,
+                                uint64_t psi) {
+  std::vector<Sequence> patterns;
+  std::vector<ConstraintSpec> constraints;
+  for (const std::string& text : texts) {
+    auto p = ParseConstrainedPattern(&db.alphabet(), text);
+    EXPECT_TRUE(p.ok()) << p.status();
+    if (!p.ok()) return "";
+    patterns.push_back(p->pattern);
+    constraints.push_back(p->constraints);
+  }
+  SanitizeOptions opts = SanitizeOptions::HH();
+  opts.psi = psi;
+  auto report = Sanitize(&db, patterns, constraints, opts);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return WriteDatabaseToString(db);
+}
+
+// The served file is byte-for-byte the in-process library result, from a
+// text image and from a seqhidb image. A repeat of a request writes the
+// same bytes again (the serving image was not mutated by the first), and
+// a pattern naming a symbol the database lacks still matches the library,
+// |Sigma| header (which counts that symbol) included.
 TEST_F(ServerTest, SanitizeMatchesDirectLibraryRun) {
-  auto server = StartServer(BaseOptions());
-  ASSERT_NE(server, nullptr);
-  auto client = Connect();
-  ASSERT_NE(client, nullptr);
+  auto db = ReadDatabaseFromFile(db_path_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const std::string binary_path = dir_ + "/serve_db_direct.seqhidb";
+  ASSERT_TRUE(WriteBinaryDatabaseToFile(*db, binary_path).ok());
 
-  Request san;
-  san.id = 1;
-  san.method = Method::kSanitize;
-  san.patterns = {"a -> b"};
-  san.psi = 1;
-  san.out = dir_ + "/serve_san_out.txt";
-  auto resp = client->Call(san);
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  ASSERT_EQ(resp->status, "ok") << resp->error;
-  ASSERT_TRUE(resp->has_sanitize);
-  EXPECT_FALSE(resp->sanitize.degraded);
-  ASSERT_EQ(resp->sanitize.supports_after.size(), 1u);
-  EXPECT_LE(resp->sanitize.supports_after[0], 1u);
+  struct Case {
+    std::vector<std::string> patterns;
+    uint64_t psi;
+  };
+  const std::vector<Case> cases = {
+      {{"a -> b"}, 1},
+      {{"a -> b"}, 1},  // the repeat
+      {{"a -> z", "c -> a"}, 0},
+  };
+  std::vector<std::string> expected;
+  for (const Case& c : cases) {
+    expected.push_back(DirectSanitizeBytes(*db, c.patterns, c.psi));
+  }
+  ASSERT_NE(expected[0], WriteDatabaseToString(*db));  // something changed
+  ASSERT_NE(expected[2].find("|Sigma|=4"), std::string::npos) << expected[2];
 
-  // The served result is byte-identical to the same run through the
-  // library directly (same seed, threads, round size).
-  auto reread = ReadDatabaseFromFile(db_path_);
-  ASSERT_TRUE(reread.ok());
-  // (keeping the direct run in-process would duplicate the sanitizer
-  // tests; the byte-for-byte restart equivalence is covered by the
-  // server_restart shell test.)
-  std::ifstream out(san.out);
-  EXPECT_TRUE(out.good());
+  for (const std::string& image : {db_path_, binary_path}) {
+    ServerOptions opts = BaseOptions();
+    opts.db_path = image;
+    auto server = StartServer(opts);
+    ASSERT_NE(server, nullptr) << image;
+    auto client = Connect();
+    ASSERT_NE(client, nullptr) << image;
 
-  server->RequestDrain();
-  server->Join();
+    for (size_t i = 0; i < cases.size(); ++i) {
+      Request san;
+      san.id = i + 1;
+      san.method = Method::kSanitize;
+      san.patterns = cases[i].patterns;
+      san.psi = cases[i].psi;
+      san.out = dir_ + "/serve_san_out_" + std::to_string(i) + ".txt";
+      std::remove(san.out.c_str());
+      auto resp = client->Call(san);
+      ASSERT_TRUE(resp.ok()) << image << ": " << resp.status();
+      ASSERT_EQ(resp->status, "ok") << image << ": " << resp->error;
+      ASSERT_TRUE(resp->has_sanitize);
+      EXPECT_FALSE(resp->sanitize.degraded);
+      for (uint64_t after : resp->sanitize.supports_after) {
+        EXPECT_LE(after, cases[i].psi) << image << " request " << i;
+      }
+      EXPECT_EQ(ReadFileBytes(san.out), expected[i])
+          << image << " request " << i;
+    }
+
+    server->RequestDrain();
+    server->Join();
+  }
 }
 
 TEST_F(ServerTest, ExpiredDeadlineInQueueAnswersDeadlineExceeded) {

@@ -68,12 +68,12 @@ std::string InstanceToJson(const proptest::PropInstance& inst, Rng* rng) {
   out += "],\"patterns\":[";
   for (size_t p = 0; p < inst.patterns.size(); ++p) {
     if (p > 0) out.push_back(',');
-    out += "\"" + JsonEscape(inst.patterns[p].ToString(inst.db.alphabet())) +
-           "\"";
+    out += '"';
+    out += JsonEscape(inst.patterns[p].ToString(inst.db.alphabet()));
+    out += '"';
   }
   out += "],\"options\":{\"psi\":" + std::to_string(inst.options.psi) +
          ",\"threads\":" + std::to_string(inst.options.num_threads) +
-         ",\"use_index\":" + (inst.options.use_index ? "true" : "false") +
          ",\"note\":" + (rng->NextBernoulli(0.5) ? "null" : "\"g\\u00e9n\"") +
          ",\"ratio\":" + std::to_string(rng->NextDouble()) + "}}";
   return out;
