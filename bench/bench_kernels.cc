@@ -28,7 +28,6 @@
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
-#include "src/mine/inverted_index.h"
 #include "src/mine/level_wise.h"
 #include "src/mine/prefix_span.h"
 
@@ -169,22 +168,6 @@ void BM_SupportScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SupportScan)->Range(256, 16384);
-
-void BM_SupportIndexed(benchmark::State& state) {
-  RandomDatabaseOptions gen;
-  gen.num_sequences = static_cast<size_t>(state.range(0));
-  gen.min_length = 10;
-  gen.max_length = 30;
-  gen.alphabet_size = 100;
-  gen.seed = 21;
-  SequenceDatabase db = MakeRandomDatabase(gen);
-  InvertedIndex index(db);
-  Sequence pattern = MakeSeq(2, 100, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Support(pattern, db));
-  }
-}
-BENCHMARK(BM_SupportIndexed)->Range(256, 16384);
 
 // --- Bit-parallel / multi-pattern kernels (docs/kernels.md) ---
 

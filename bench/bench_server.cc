@@ -205,8 +205,8 @@ void BM_SupportMissCache(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportMissCache);
 
-// End-to-end sanitize request: private database copy, full HH run,
-// output written to a scratch file. The dominant serving cost.
+// End-to-end sanitize request: full HH run over a view of the serving
+// image, output written to a scratch file. The dominant serving cost.
 void BM_SanitizeRequest(benchmark::State& state) {
   auto live = StartServer(state, /*cache_entries=*/8);
   if (live == nullptr) return;

@@ -111,7 +111,7 @@ size_t PatternSetUnion::AddOrigin(const std::vector<Sequence>& patterns) {
   return origin;
 }
 
-bool CountUnionOverDb(const PatternTrie& trie, const SequenceDatabase& db,
+bool CountUnionOverDb(const PatternTrie& trie, const DatabaseView& db,
                       MatchScratch* scratch, std::vector<uint64_t>* totals,
                       std::vector<uint64_t>* supports) {
   const size_t n = trie.num_patterns();

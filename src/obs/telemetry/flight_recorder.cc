@@ -43,8 +43,7 @@ void FlightRecorder::Record(EventKind kind, std::string_view label, uint64_t a,
   // Seqlock write: odd while inside. Two writers can only collide on a
   // slot when their tickets are a full ring apart in flight at once; the
   // worst outcome is one garbled diagnostic slot that readers discard.
-  slot.version.fetch_add(1, std::memory_order_acq_rel);
-  FlightEvent& e = slot.event;
+  FlightEvent e;
   e.seq = ticket + 1;
   e.ts_ns = ts_ns;
   e.kind = kind;
@@ -52,7 +51,12 @@ void FlightRecorder::Record(EventKind kind, std::string_view label, uint64_t a,
   e.b = b;
   const size_t n = std::min(label.size(), sizeof(e.label) - 1);
   if (n > 0) std::memcpy(e.label, label.data(), n);
-  e.label[n] = '\0';
+  uint64_t words[kEventWords];
+  std::memcpy(words, &e, sizeof(e));
+  slot.version.fetch_add(1, std::memory_order_acq_rel);
+  for (size_t w = 0; w < kEventWords; ++w) {
+    slot.words[w].store(words[w], std::memory_order_release);
+  }
   slot.version.fetch_add(1, std::memory_order_release);
 }
 
@@ -67,9 +71,13 @@ std::vector<FlightEvent> FlightRecorder::SnapshotTail(size_t max_events) const {
     const Slot& slot = slots_[i % cap];
     const uint64_t v1 = slot.version.load(std::memory_order_acquire);
     if (v1 & 1) continue;  // writer inside; skip rather than wait
-    FlightEvent copy = slot.event;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    uint64_t words[kEventWords];
+    for (size_t w = 0; w < kEventWords; ++w) {
+      words[w] = slot.words[w].load(std::memory_order_acquire);
+    }
     if (slot.version.load(std::memory_order_relaxed) != v1) continue;
+    FlightEvent copy;
+    std::memcpy(&copy, words, sizeof(copy));
     if (copy.seq == 0) continue;
     out.push_back(copy);
   }
@@ -87,7 +95,9 @@ void FlightRecorder::Reset() {
   dropped_.store(0, std::memory_order_relaxed);
   for (Slot& slot : slots_) {
     slot.version.store(0, std::memory_order_relaxed);
-    slot.event = FlightEvent{};
+    for (std::atomic<uint64_t>& word : slot.words) {
+      word.store(0, std::memory_order_relaxed);
+    }
   }
 }
 

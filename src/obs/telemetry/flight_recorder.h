@@ -12,7 +12,9 @@
 // Recording is wait-free: a global ticket from an atomic fetch_add picks
 // the slot, and a per-slot seqlock (version odd while the writer is in
 // the slot) lets snapshot readers detect and skip torn slots instead of
-// blocking writers. Once the ring wraps, each new event overwrites the
+// blocking writers. The event bytes are stored and loaded as atomic
+// words, so a racing copy is never a data race and the seqlock needs no
+// standalone fence. Once the ring wraps, each new event overwrites the
 // oldest one and the explicit dropped counter increments — the recorder
 // never allocates after construction and never blocks a hot path.
 //
@@ -107,10 +109,17 @@ class FlightRecorder {
   void Reset();
 
  private:
+  static constexpr size_t kEventWords = sizeof(FlightEvent) / 8;
+  static_assert(sizeof(FlightEvent) % 8 == 0);
+
   struct Slot {
     // Seqlock: odd while a writer is inside, bumped to even when done.
     std::atomic<uint64_t> version{0};
-    FlightEvent event;
+    // The FlightEvent's bytes. Writers store them release, readers load
+    // them acquire: a reader that sees any word of a newer write
+    // synchronizes with that writer's odd version bump, so its closing
+    // version check cannot still match.
+    std::atomic<uint64_t> words[kEventWords] = {};
   };
 
   const std::chrono::steady_clock::time_point epoch_;

@@ -1,12 +1,13 @@
 // Per-pool memory accounting and process RSS sampling.
 //
 // The paper's §8 names large-dataset efficiency as the open problem, and
-// the two data structures that actually grow with the dataset are the DP
-// scratch tables (src/match/scratch.h) and the inverted index's posting
-// lists (src/mine/inverted_index.h). MemTracker gives each of those a
-// named pool of three relaxed atomics (current bytes, peak bytes,
-// allocation count), fed by PoolAllocator — a stateless std::allocator
-// wrapper that the scratch/posting vector typedefs plug in. The result
+// the heap structures that grow with the dataset are the DP scratch
+// tables (src/match/scratch.h) and the kernel tables (src/match/). The
+// posting lists live in the mapped seqhidb image, which only RSS sees.
+// MemTracker gives each heap structure a named pool of three relaxed
+// atomics (current bytes, peak bytes, allocation count), fed by
+// PoolAllocator — a stateless std::allocator wrapper that the vector
+// typedefs plug in. The result
 // is exact byte-level accounting of the paths that matter, surfaced as
 // the `memory` block in --stats-json, in BENCH JSON, and gated by
 // tools/bench_compare.
@@ -41,7 +42,8 @@ namespace telemetry {
 // sync when adding one.
 enum class MemPool : size_t {
   kDpScratch = 0,     // DP rows/tables sized (n, m) — src/match/scratch.h
-  kPostingList = 1,   // inverted-index posting lists — src/mine/
+  kPostingList = 1,   // no allocator charges it; kept (reads 0) so the
+                      // `memory` block's schema is stable
   kKernelTables = 2,  // per-symbol masks / pattern-trie arrays — src/match/
 };
 inline constexpr size_t kNumMemPools = 3;

@@ -611,11 +611,7 @@ std::vector<size_t> MappedDatabase::CandidateRows(
   return finish(std::move(result));
 }
 
-Result<SequenceDatabase> MappedDatabase::ToDatabase() const {
-  SequenceDatabase out;
-  for (uint64_t i = 0; i < header_.alphabet_size; ++i) {
-    out.alphabet().Intern(alphabet_.Name(static_cast<SymbolId>(i)));
-  }
+Status MappedDatabase::ValidateRows() const {
   if (row_offsets_[0] != 0) {
     return Status::Corruption("seqhidb row offsets do not start at 0");
   }
@@ -626,24 +622,30 @@ Result<SequenceDatabase> MappedDatabase::ToDatabase() const {
       return Status::Corruption("seqhidb row " + std::to_string(t) +
                                 " has corrupt offsets");
     }
-    std::vector<SymbolId> symbols;
-    symbols.reserve(static_cast<size_t>(end - begin));
-    for (uint64_t j = begin; j < end; ++j) {
-      const SymbolId s = columns_[j];
-      if (s != kDeltaSymbol && !alphabet_.Contains(s)) {
-        return Status::Corruption("seqhidb row " + std::to_string(t) +
-                                  " references symbol id " +
-                                  std::to_string(s) +
-                                  " outside the alphabet");
-      }
-      symbols.push_back(s);
-    }
-    out.Add(Sequence(std::move(symbols)));
   }
   if (row_offsets_[header_.num_rows] != header_.num_symbols) {
     return Status::Corruption(
         "seqhidb row offsets do not cover the column section");
   }
+  // The offsets tile the column section, so every column is some row's.
+  for (uint64_t j = 0; j < header_.num_symbols; ++j) {
+    const SymbolId s = columns_[j];
+    if (s != kDeltaSymbol && !alphabet_.Contains(s)) {
+      return Status::Corruption("seqhidb column " + std::to_string(j) +
+                                " holds symbol id " + std::to_string(s) +
+                                " outside the alphabet");
+    }
+  }
+  return Status::OK();
+}
+
+Result<SequenceDatabase> MappedDatabase::ToDatabase() const {
+  SEQHIDE_RETURN_IF_ERROR(ValidateRows());
+  SequenceDatabase out;
+  for (uint64_t i = 0; i < header_.alphabet_size; ++i) {
+    out.alphabet().Intern(alphabet_.Name(static_cast<SymbolId>(i)));
+  }
+  for (size_t t = 0; t < size(); ++t) out.Add(row(t).Materialize());
   return out;
 }
 
@@ -676,26 +678,7 @@ Status MappedDatabase::VerifyChecksums() const {
     }
   }
 
-  // Row offsets: monotone, starting at 0, covering the column section.
-  if (row_offsets_[0] != 0 ||
-      row_offsets_[header_.num_rows] != header_.num_symbols) {
-    return Status::Corruption(
-        "seqhidb row offsets do not cover the column section");
-  }
-  for (uint64_t t = 0; t < header_.num_rows; ++t) {
-    if (row_offsets_[t] > row_offsets_[t + 1]) {
-      return Status::Corruption("seqhidb row offsets are not monotone");
-    }
-  }
-
-  // Column symbols: Δ or a valid alphabet id.
-  for (uint64_t j = 0; j < header_.num_symbols; ++j) {
-    const SymbolId s = columns_[j];
-    if (s != kDeltaSymbol && !alphabet_.Contains(s)) {
-      return Status::Corruption("seqhidb column " + std::to_string(j) +
-                                " holds symbol id outside the alphabet");
-    }
-  }
+  SEQHIDE_RETURN_IF_ERROR(ValidateRows());
 
   // Posting lists must exactly match a recount of the columns: strictly
   // ascending row ids, one run per symbol.

@@ -16,8 +16,10 @@
 // out of the mapping. Because the mapping is MAP_SHARED/PROT_READ, all
 // processes reading one file share one set of physical pages. Row
 // offsets are *not* validated at open (that would be O(|D|)); row()
-// clamps them so access is always memory-safe, and ToDatabase() /
-// VerifyChecksums() perform the full O(file) validation on demand.
+// clamps them so access is always memory-safe. ValidateRows() checks the
+// rows in O(|D| + total symbols) — what seqhide_server runs before it
+// serves an image — and VerifyChecksums() performs the full O(file)
+// validation on demand.
 //
 // The complete byte-level layout is specified in docs/binary-format.md.
 
@@ -166,10 +168,13 @@ class MappedDatabase {
   }
   SequenceView operator[](size_t t) const { return row(t); }
 
-  // Whole-database view for the src/match and src/hide kernels.
-  DatabaseView view() const {
+  // Whole-database view for the src/match and src/hide kernels; O(1).
+  // `alphabet` defaults to the image's own; pass a superset of it (a
+  // private copy patterns were parsed into), exactly as for
+  // DatabaseView(db, &alphabet).
+  DatabaseView view(const Alphabet* alphabet = nullptr) const {
     return DatabaseView(columns_, row_offsets_, size(), total_symbols(),
-                        &alphabet_);
+                        alphabet != nullptr ? alphabet : &alphabet_);
   }
 
   // Sorted row ids containing at least one occurrence of `s`; empty for
@@ -183,9 +188,14 @@ class MappedDatabase {
   // matches everything, so every row is a candidate.
   std::vector<size_t> CandidateRows(const Sequence& pattern) const;
 
-  // Materializes an in-memory SequenceDatabase (alphabet ids preserved).
-  // Unlike row(), this validates the row offsets and symbol ids it
-  // touches and reports Corruption instead of clamping.
+  // O(|D| + total symbols) row validation, the part of VerifyChecksums()
+  // that makes clamping in row() unnecessary: the row offsets start at 0,
+  // are monotone, and cover the column section exactly, and every column
+  // symbol is Δ or an alphabet id. Corruption otherwise.
+  Status ValidateRows() const;
+
+  // Materializes an in-memory SequenceDatabase (alphabet ids preserved)
+  // after ValidateRows(): Corruption instead of clamped rows.
   Result<SequenceDatabase> ToDatabase() const;
 
   // Equivalent of SequenceDatabase::Stats() computed off the mapping.

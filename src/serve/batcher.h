@@ -37,8 +37,8 @@ namespace seqhide {
 namespace serve {
 
 // True for the methods the batcher may coalesce: the pure counting
-// queries. Sanitize mutates a private database copy and ping never
-// reaches the work queue; both stay on the solo path.
+// queries. Sanitize is a whole pipeline run and ping never reaches the
+// work queue; both stay on the solo path.
 bool BatchableMethod(Method method);
 
 // One request's share of a batch plan.

@@ -47,6 +47,7 @@ Status Listener::ListenUnix(const std::string& path) {
   }
   fd_ = fd;
   unix_path_ = path;
+  shut_down_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -79,18 +80,21 @@ Status Listener::ListenTcp(uint16_t port) {
   }
   fd_ = fd;
   port_ = ntohs(addr.sin_port);
+  shut_down_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
 Result<int> Listener::Accept() {
-  const int listen_fd = fd_;
-  if (listen_fd < 0) {
-    return Status::FailedPrecondition("listener is closed");
-  }
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd_ < 0 || shut_down_.load(std::memory_order_acquire)) {
+      return Status::FailedPrecondition("listener is closed");
+    }
+    const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (shut_down_.load(std::memory_order_acquire)) {
+        return Status::FailedPrecondition("listener is closed");
+      }
       return Errno("accept");
     }
     if (SEQHIDE_FAULT_HIT("net.accept")) {
@@ -104,18 +108,28 @@ Result<int> Listener::Accept() {
   }
 }
 
+void Listener::Shutdown() {
+  std::lock_guard<std::mutex> lock(close_mu_);
+  ShutdownLocked();
+}
+
+void Listener::ShutdownLocked() {
+  if (fd_ < 0 || shut_down_.load(std::memory_order_relaxed)) return;
+  shut_down_.store(true, std::memory_order_release);
+  // shutdown() unblocks a concurrent accept() on Linux; close() alone
+  // may leave it blocked forever.
+  (void)::shutdown(fd_, SHUT_RDWR);
+  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
+}
+
 void Listener::Close() {
+  std::lock_guard<std::mutex> lock(close_mu_);
+  ShutdownLocked();
   if (fd_ >= 0) {
-    // shutdown() unblocks a concurrent accept() on Linux; close() alone
-    // may leave it blocked forever.
-    (void)::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }
-  if (!unix_path_.empty()) {
-    ::unlink(unix_path_.c_str());
-    unix_path_.clear();
-  }
+  unix_path_.clear();
 }
 
 LineChannel::~LineChannel() {

@@ -11,7 +11,9 @@
 #ifndef SEQHIDE_SERVE_NET_H_
 #define SEQHIDE_SERVE_NET_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "src/common/result.h"
@@ -20,8 +22,10 @@
 namespace seqhide {
 namespace serve {
 
-// A listening socket. Close() (or destruction) unblocks a concurrent
-// Accept() with an error, which is how the server stops its accept loop.
+// A listening socket. Shutdown() unblocks a concurrent Accept() with an
+// error, which is how the server stops its accept loop; Close() (or
+// destruction) releases the descriptor once no Accept() can still run, so
+// accept() never sees a closed — possibly reused — fd number.
 class Listener {
  public:
   Listener() = default;
@@ -38,17 +42,27 @@ class Listener {
   // Blocks for one connection; the returned fd is owned by the caller.
   // IOError both for real accept failures and for the injected net.accept
   // fault (the connection, if any, is closed); the accept loop logs and
-  // continues. FailedPrecondition once Close() was called.
+  // continues. FailedPrecondition once Shutdown() was called.
   Result<int> Accept();
 
+  // Stops accepting and unlinks the socket file; idempotent, callable
+  // from any thread while Accept() blocks. The descriptor stays open.
+  void Shutdown();
+  // Shutdown(), then closes the descriptor. Call only once no thread can
+  // be inside Accept() (the accept thread has been joined).
   void Close();
   bool listening() const { return fd_ >= 0; }
   uint16_t port() const { return port_; }
 
  private:
+  void ShutdownLocked();
+
+  // Written only by Listen*() and Close(), never while Accept() runs.
   int fd_ = -1;
   uint16_t port_ = 0;
-  std::string unix_path_;  // unlinked on Close()
+  std::string unix_path_;
+  std::mutex close_mu_;  // serializes Shutdown() against Close()
+  std::atomic<bool> shut_down_{false};
 };
 
 // Buffered reader/writer of newline-terminated lines over one socket.

@@ -42,7 +42,7 @@ enum class Method {
   kPing,        // liveness + database identity (rows, fingerprint)
   kSupport,     // per-pattern (constrained) support
   kMatchCount,  // per-pattern total matching count
-  kSanitize,    // full sanitization run against a private database copy
+  kSanitize,    // full sanitization run over a view of the serving image
 };
 
 std::string_view MethodName(Method m);

@@ -15,13 +15,9 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
-#include "src/match/constrained_count.h"
-#include "src/match/count.h"
 #include "src/match/mapped_match.h"
 #include "src/match/pattern_trie.h"
 #include "src/match/scratch.h"
-#include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
 #include "src/obs/macros.h"
 #include "src/seq/io.h"
 #include "src/serve/batcher.h"
@@ -97,6 +93,34 @@ Status WriteFileDurable(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
+// The serving image and its fingerprint. A seqhidb file is mapped as is
+// (fingerprint: its header FNV); a text file is encoded into an in-memory
+// seqhidb image (fingerprint: FNV of its canonical text rendering), so
+// both kinds are served by the same code and the same posting lists.
+Result<MappedDatabase> LoadImage(const std::string& path,
+                                 uint64_t* fingerprint) {
+  SEQHIDE_ASSIGN_OR_RETURN(const bool binary,
+                           FileLooksLikeBinaryDatabase(path));
+  if (binary) {
+    SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase db,
+                             MappedDatabase::OpenMapped(path));
+    // row() would clamp corrupt offsets into truncated rows; refuse the
+    // image instead of serving them.
+    SEQHIDE_RETURN_IF_ERROR(db.ValidateRows());
+    *fingerprint = db.header().header_fnv;
+    return db;
+  }
+  SEQHIDE_ASSIGN_OR_RETURN(const SequenceDatabase text_db,
+                           ReadDatabaseFromFile(path));
+  {
+    const std::string text = WriteDatabaseToString(text_db);
+    *fingerprint = Fnv1a64(text.data(), text.size());
+  }
+  SEQHIDE_ASSIGN_OR_RETURN(const std::string image,
+                           WriteBinaryDatabaseToString(text_db));
+  return MappedDatabase::FromBuffer(image);
+}
+
 Result<std::string> ReadFileToString(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -153,8 +177,12 @@ struct Server::WorkItem {
   std::shared_ptr<std::atomic<bool>> cancel;
 };
 
-Server::Server(const ServerOptions& opts)
+Server::Server(const ServerOptions& opts, MappedDatabase db,
+               uint64_t db_fingerprint)
     : opts_(opts),
+      db_(std::move(db)),
+      db_fingerprint_(db_fingerprint),
+      db_max_length_(db_.Stats().max_length),
       admission_(opts.admission),
       cache_(opts.cache_entries) {}
 
@@ -185,30 +213,11 @@ Result<std::unique_ptr<Server>> Server::Create(const ServerOptions& opts) {
   if (std::isnan(opts.default_deadline_ms) || opts.default_deadline_ms < 0) {
     return Status::InvalidArgument("default_deadline_ms must be >= 0");
   }
-  std::unique_ptr<Server> server(new Server(opts));
-  SEQHIDE_RETURN_IF_ERROR(server->LoadDatabase());
-  return server;
-}
-
-Status Server::LoadDatabase() {
-  SEQHIDE_ASSIGN_OR_RETURN(const bool binary,
-                           FileLooksLikeBinaryDatabase(opts_.db_path));
-  if (binary) {
-    SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
-                             MappedDatabase::OpenMapped(opts_.db_path));
-    // Sanitize requests and the batcher read an in-memory image;
-    // materialize it once (validating the full image in the process).
-    SEQHIDE_ASSIGN_OR_RETURN(master_, mapped.ToDatabase());
-    db_fingerprint_ = mapped.header().header_fnv;
-    mapped_.emplace(std::move(mapped));
-  } else {
-    SEQHIDE_ASSIGN_OR_RETURN(master_,
-                             ReadDatabaseFromFile(opts_.db_path));
-    const std::string text = WriteDatabaseToString(master_);
-    db_fingerprint_ = Fnv1a64(text.data(), text.size());
-  }
-  db_max_length_ = master_.Stats().max_length;
-  return Status::OK();
+  uint64_t fingerprint = 0;
+  SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase db,
+                           LoadImage(opts.db_path, &fingerprint));
+  return std::unique_ptr<Server>(
+      new Server(opts, std::move(db), fingerprint));
 }
 
 Status Server::Start() {
@@ -378,7 +387,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     // when the server is saturated or draining.
     Response resp;
     resp.id = req.id;
-    resp.db_rows = master_.size();
+    resp.db_rows = db_.size();
     resp.db_fingerprint = db_fingerprint_;
     resp.draining = admission_.draining();
     WriteResponse(conn, std::move(resp));
@@ -618,7 +627,7 @@ void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
   for (const std::shared_ptr<WorkItem>& item : live) {
     requests.push_back(&item->req);
   }
-  const BatchPlan plan = BuildBatchPlan(master_.alphabet(), requests);
+  const BatchPlan plan = BuildBatchPlan(db_.alphabet(), requests);
 
   // The shared pass. A union-build fault or a scratch-budget refusal
   // downgrades the whole batch to the solo per-pattern kernels —
@@ -630,7 +639,8 @@ void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
   if (plan.union_size() > 0 &&
       !SEQHIDE_FAULT_HIT("serve.batch.union.build")) {
     const PatternTrie trie(plan.union_set.union_patterns(), {});
-    union_ok = CountUnionOverDb(trie, master_, &scratch, &totals, &supports);
+    union_ok =
+        CountUnionOverDb(trie, db_.view(), &scratch, &totals, &supports);
   }
 
   // Demux in arrival order. A member that cancelled or expired while the
@@ -677,8 +687,7 @@ void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
                     ? supports[member.slots[j]]
                     : totals[member.slots[j]];
       } else {
-        value =
-            ComputePatternValue(item->req.method, member.parsed[j], &scratch);
+        value = ComputePatternValue(item->req.method, member.parsed[j]);
       }
       resp.values.push_back(value);
     }
@@ -780,7 +789,7 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
   // interns unseen symbols, and the shared serving alphabet must never
   // mutate under concurrent requests. Fresh ids never equal a database
   // symbol id, so unknown-symbol patterns simply count zero.
-  Alphabet alphabet = master_.alphabet();
+  Alphabet alphabet = db_.alphabet();
   std::vector<ConstrainedPattern> parsed;
   parsed.reserve(req.patterns.size());
   for (const std::string& text : req.patterns) {
@@ -789,7 +798,6 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
     parsed.push_back(std::move(p).value());
   }
 
-  MatchScratch scratch;
   resp.values.reserve(parsed.size());
   for (const ConstrainedPattern& cp : parsed) {
     // Budget boundaries sit between patterns, mirroring the batch
@@ -805,7 +813,7 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
       const Status valid = cp.constraints.Validate(cp.pattern.size());
       if (!valid.ok()) return ErrorResponse(req.id, valid);
     }
-    resp.values.push_back(ComputePatternValue(req.method, cp, &scratch));
+    resp.values.push_back(ComputePatternValue(req.method, cp));
   }
   cache_.Insert(db_fingerprint_, patterns_fp, resp.values);
   resp.cache = "miss";
@@ -813,27 +821,14 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
 }
 
 uint64_t Server::ComputePatternValue(Method method,
-                                     const ConstrainedPattern& cp,
-                                     MatchScratch* scratch) const {
+                                     const ConstrainedPattern& cp) const {
   if (method == Method::kSupport) {
-    if (cp.constraints.IsUnconstrained()) {
-      return mapped_.has_value() ? SupportMapped(cp.pattern, *mapped_)
-                                 : Support(cp.pattern, master_);
-    }
-    return mapped_.has_value()
-               ? ConstrainedSupportMapped(cp.pattern, cp.constraints, *mapped_)
-               : ConstrainedSupport(cp.pattern, cp.constraints, master_);
+    return cp.constraints.IsUnconstrained()
+               ? SupportMapped(cp.pattern, db_)
+               : ConstrainedSupportMapped(cp.pattern, cp.constraints, db_);
   }
-  if (mapped_.has_value()) {
-    return CountConstrainedMatchingsTotalMapped({cp.pattern}, {cp.constraints},
-                                                *mapped_);
-  }
-  uint64_t value = 0;
-  for (size_t t = 0; t < master_.size(); ++t) {
-    value = SatAdd(value, CountConstrainedMatchings(cp.pattern, cp.constraints,
-                                                    master_[t], scratch));
-  }
-  return value;
+  return CountConstrainedMatchingsTotalMapped({cp.pattern}, {cp.constraints},
+                                              db_);
 }
 
 Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
@@ -889,7 +884,7 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
   // into a private alphabet copy (unseen symbols get fresh ids that match
   // no row); the view carries that alphabet, so the run fingerprint and
   // the written |Sigma| see the symbols the request added.
-  Alphabet alphabet = master_.alphabet();
+  Alphabet alphabet = db_.alphabet();
   std::vector<Sequence> patterns;
   std::vector<ConstraintSpec> constraints;
   patterns.reserve(req.patterns.size());
@@ -903,7 +898,7 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     constraints.push_back(std::move(p->constraints));
   }
 
-  const DatabaseView view(master_, &alphabet);
+  const DatabaseView view = db_.view(&alphabet);
   auto run = [&]() { return Sanitize(view, patterns, constraints, opts); };
   auto result = run();
   if (!result.ok() && opts.resume &&
@@ -1011,7 +1006,7 @@ void Server::LedgerRecord(const Request& req, const Response& resp, bool shed,
 
 void Server::RequestDrain() {
   if (drain_requested_.exchange(true)) return;
-  listener_.Close();
+  listener_.Shutdown();
   admission_.BeginDrain();
 }
 
@@ -1022,6 +1017,7 @@ bool Server::draining() const {
 void Server::Join() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();  // no Accept() can run on the descriptor any more
   // Give queued + running work drain_grace_ms to finish on its own...
   if (!admission_.WaitIdle(opts_.drain_grace_ms)) {
     // ...then cancel what is left: in-flight sanitizes budget-stop at the

@@ -25,9 +25,9 @@
 // to completion — so a SIGKILL mid-request yields, after restart, a
 // database byte-identical to an uninterrupted run.
 //
-// Drain (SIGTERM): RequestDrain() closes the listener and flips admission
-// into shed-everything mode; Join() waits up to drain_grace_ms for
-// in-flight work, then sets every outstanding cancel flag (in-flight
+// Drain (SIGTERM): RequestDrain() shuts the listener down and flips
+// admission into shed-everything mode; Join() waits up to drain_grace_ms
+// for in-flight work, then sets every outstanding cancel flag (in-flight
 // sanitizes budget-stop and checkpoint) and finishes. Nothing is ever
 // silently dropped: queued requests still get responses during drain.
 
@@ -51,23 +51,21 @@
 #include "src/constraints/constraints.h"
 #include "src/obs/telemetry/run_ledger.h"
 #include "src/seq/binary_format.h"
-#include "src/seq/database.h"
 #include "src/serve/admission.h"
 #include "src/serve/match_cache.h"
 #include "src/serve/net.h"
 #include "src/serve/protocol.h"
 
 namespace seqhide {
-
-struct MatchScratch;
-
 namespace serve {
 
 struct ServerOptions {
-  // Database image: text or seqhidb v1, sniffed by magic. A binary image
-  // is mmapped and served zero-copy (with its precomputed indexes); a
-  // text database is materialized. Sanitize requests always run against
-  // a private in-memory copy — the serving image is never mutated.
+  // Database image: text or seqhidb v1, sniffed by magic. A seqhidb image
+  // is mmapped, its rows validated once, and served zero-copy; a text
+  // database is encoded into an in-memory seqhidb image at load. Either
+  // way every request reads that one immutable image and its posting
+  // lists — sanitize requests return their changed rows as an overlay
+  // and never mutate it.
   std::string db_path;
 
   // Exactly one endpoint: a Unix-domain socket path, or TCP on
@@ -150,7 +148,7 @@ class Server {
   uint16_t port() const { return listener_.port(); }
   const std::string& socket_path() const { return opts_.socket_path; }
   uint64_t db_fingerprint() const { return db_fingerprint_; }
-  size_t db_rows() const { return master_.size(); }
+  size_t db_rows() const { return db_.size(); }
 
   ServerStats stats() const;
   MatchInfoCache& cache() { return cache_; }
@@ -160,9 +158,9 @@ class Server {
   struct Connection;
   struct WorkItem;
 
-  explicit Server(const ServerOptions& opts);
+  Server(const ServerOptions& opts, MappedDatabase db,
+         uint64_t db_fingerprint);
 
-  Status LoadDatabase();
   Status RecoverJobs();
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
@@ -192,8 +190,8 @@ class Server {
                     std::chrono::steady_clock::time_point leader_start);
   // The solo per-pattern kernel selection, shared by DoQuery and the
   // batch fallback so both paths produce the same bits by construction.
-  uint64_t ComputePatternValue(Method method, const ConstrainedPattern& cp,
-                               MatchScratch* scratch) const;
+  uint64_t ComputePatternValue(Method method,
+                               const ConstrainedPattern& cp) const;
   // Seals one request: timings, outcome stats, ledger record, response
   // write (or drop). The single exit for solo, fast-path, and batch.
   void FinishItem(const std::shared_ptr<WorkItem>& item, Response resp,
@@ -209,10 +207,9 @@ class Server {
   void ReapFinishedReaders();
 
   ServerOptions opts_;
-  SequenceDatabase master_;
-  std::optional<MappedDatabase> mapped_;
-  uint64_t db_fingerprint_ = 0;
-  size_t db_max_length_ = 0;
+  const MappedDatabase db_;
+  const uint64_t db_fingerprint_;
+  const size_t db_max_length_;
 
   Listener listener_;
   AdmissionController admission_;

@@ -19,6 +19,7 @@
 #include "src/match/pattern_trie.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
+#include "src/seq/binary_format.h"
 #include "src/seq/database.h"
 #include "src/serve/batcher.h"
 #include "src/serve/client.h"
@@ -182,7 +183,8 @@ TEST(CountUnionOverDbTest, MatchesScalarCountsAndSupports) {
   MatchScratch scratch;
   std::vector<uint64_t> totals;
   std::vector<uint64_t> supports;
-  ASSERT_TRUE(CountUnionOverDb(trie, db, &scratch, &totals, &supports));
+  ASSERT_TRUE(
+      CountUnionOverDb(trie, DatabaseView(db), &scratch, &totals, &supports));
   ASSERT_EQ(totals.size(), patterns.size());
   ASSERT_EQ(supports.size(), patterns.size());
 
@@ -194,6 +196,19 @@ TEST(CountUnionOverDbTest, MatchesScalarCountsAndSupports) {
     EXPECT_EQ(totals[p], want_total) << "pattern " << p;
     EXPECT_EQ(supports[p], Support(patterns[p], db)) << "pattern " << p;
   }
+
+  // The same database as a seqhidb image (what the server passes): the
+  // columnar view yields the in-memory view's results exactly.
+  auto image = WriteBinaryDatabaseToString(db);
+  ASSERT_TRUE(image.ok()) << image.status();
+  auto mapped = MappedDatabase::FromBuffer(*image);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  std::vector<uint64_t> mapped_totals;
+  std::vector<uint64_t> mapped_supports;
+  ASSERT_TRUE(CountUnionOverDb(trie, mapped->view(), &scratch, &mapped_totals,
+                               &mapped_supports));
+  EXPECT_EQ(mapped_totals, totals);
+  EXPECT_EQ(mapped_supports, supports);
 }
 
 // ------------------------------------------------------------- end to end

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -425,6 +426,100 @@ TEST_F(ServerTest, SanitizeMatchesDirectLibraryRun) {
           << image << " request " << i;
     }
 
+    server->RequestDrain();
+    server->Join();
+  }
+}
+
+// Serving reads rows straight off the image, so Server::Create validates
+// them first: a seqhidb image whose row offsets or column symbols are
+// corrupt is refused with Corruption, never served as clamped rows. The
+// header checksum does not cover payload sections, so each corrupt image
+// still opens — only the row validation can catch it.
+TEST_F(ServerTest, CreateRejectsSeqhidbImagesWithCorruptRows) {
+  auto db = ReadDatabaseFromFile(db_path_);  // 4 rows x 5 symbols, |Sigma|=3
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto image = WriteBinaryDatabaseToString(*db);
+  ASSERT_TRUE(image.ok()) << image.status();
+  auto good = MappedDatabase::FromBuffer(*image);
+  ASSERT_TRUE(good.ok()) << good.status();
+  const BinaryHeader& h = good->header();
+  ASSERT_EQ(h.num_symbols, 20u);
+  const uint64_t offsets = h.sections[kSecRowOffsets].offset;
+  const uint64_t columns = h.sections[kSecColumns].offset;
+
+  // A copy of the image with the little-endian value `v` at byte `at`.
+  auto patch = [&](uint64_t at, auto v) {
+    std::string bytes = *image;
+    std::memcpy(&bytes[at], &v, sizeof(v));
+    return bytes;
+  };
+  struct Case {
+    const char* what;
+    std::string bytes;
+  };
+  const std::vector<Case> cases = {
+      // row_offsets[1] := past the end of the column section.
+      {"offset past columns", patch(offsets + 8, uint64_t{27})},
+      // row_offsets = 0 12 10 15 20: row 1 would end before it begins.
+      {"non-monotone offsets", patch(offsets + 8, uint64_t{12})},
+      // columns[3] := an id the 3-symbol alphabet does not hold.
+      {"symbol outside alphabet", patch(columns + 3 * 4, int32_t{7})},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(MappedDatabase::FromBuffer(c.bytes).ok()) << c.what;
+    const std::string path = dir_ + "/serve_corrupt_" +
+                             std::to_string(&c - cases.data()) + ".seqhidb";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << c.bytes;
+    }
+    ServerOptions opts = BaseOptions();
+    opts.db_path = path;
+    auto created = Server::Create(opts);
+    ASSERT_FALSE(created.ok()) << c.what;
+    EXPECT_TRUE(created.status().IsCorruption())
+        << c.what << ": " << created.status();
+  }
+}
+
+// db_fingerprint keys the match cache and is reported by ping: FNV-1a-64
+// of the canonical text rendering for a text image, the header FNV for a
+// seqhidb image. The literals pin both for this fixture's database.
+TEST_F(ServerTest, PingReportsImageFingerprint) {
+  auto db = ReadDatabaseFromFile(db_path_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const std::string binary_path = dir_ + "/serve_db_fingerprint.seqhidb";
+  ASSERT_TRUE(WriteBinaryDatabaseToFile(*db, binary_path).ok());
+  const std::string text = WriteDatabaseToString(*db);
+  auto mapped = MappedDatabase::OpenMapped(binary_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+
+  struct Case {
+    std::string image;
+    uint64_t fingerprint;
+    uint64_t golden;
+  };
+  const std::vector<Case> cases = {
+      {db_path_, Fnv1a64(text.data(), text.size()), 0xae9b860feca8ade0ull},
+      {binary_path, mapped->header().header_fnv, 0xc66a6bb44305db83ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.fingerprint, c.golden) << c.image;
+    ServerOptions opts = BaseOptions();
+    opts.db_path = c.image;
+    auto server = StartServer(opts);
+    ASSERT_NE(server, nullptr) << c.image;
+    auto client = Connect();
+    ASSERT_NE(client, nullptr) << c.image;
+    Request ping;
+    ping.id = 1;
+    ping.method = Method::kPing;
+    auto pong = client->Call(ping);
+    ASSERT_TRUE(pong.ok()) << pong.status();
+    EXPECT_EQ(pong->db_rows, 4u) << c.image;
+    EXPECT_EQ(pong->db_fingerprint, c.fingerprint) << c.image;
+    EXPECT_EQ(server->db_fingerprint(), c.fingerprint) << c.image;
     server->RequestDrain();
     server->Join();
   }
