@@ -167,7 +167,7 @@ void BM_SupportMapped(benchmark::State& state) {
   pattern.Append(29);
   size_t candidates = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SupportMapped(pattern, *mapped));
+    benchmark::DoNotOptimize(SupportMapped(pattern, ConstraintSpec(), *mapped));
     candidates = mapped->CandidateRows(pattern).size();
   }
   state.counters["candidate_rows"] =

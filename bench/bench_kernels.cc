@@ -18,7 +18,6 @@
 #include "src/obs/metrics.h"
 #include "src/data/workload.h"
 #include "src/hide/local.h"
-#include "src/hide/sanitizer.h"
 #include "src/match/bitset_match.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
@@ -267,56 +266,6 @@ BENCHMARK(BM_MultiPatternCount)
     ->Arg(1)  // bitset
     ->Arg(2)  // trie
     ->ArgNames({"engine"});
-
-// Engine sweep over the full pipeline. The semantic counters recorded
-// here — marks, supports-after, stage-1 rows — must be identical in every
-// engine × thread section of the checked-in baseline: the engine and the
-// thread count are speed knobs, never result knobs. bench_compare's
-// bit-stable counter gate enforces that on every CI run.
-void BM_SanitizeEngineSweep(benchmark::State& state) {
-  const KernelEngine engine = static_cast<KernelEngine>(state.range(0) + 1);
-  const size_t threads = static_cast<size_t>(state.range(1));
-  RandomDatabaseOptions gen;
-  gen.num_sequences = 512;
-  gen.min_length = 10;
-  gen.max_length = 30;
-  gen.alphabet_size = 12;
-  gen.seed = 41;
-  const SequenceDatabase base = MakeRandomDatabase(gen);
-  const std::vector<Sequence> patterns = {
-      MakeSeq(2, 12, 42), MakeSeq(3, 12, 43), MakeSeq(3, 12, 44),
-      MakeSeq(4, 12, 45)};
-  size_t marks = 0, supports_after = 0, count_rows = 0;
-  for (auto _ : state) {
-    SequenceDatabase db = base;
-    SanitizeOptions opts = SanitizeOptions::HH();
-    opts.psi = 4;
-    opts.kernel = engine;
-    opts.num_threads = threads;
-    auto report = Sanitize(&db, patterns, opts);
-    benchmark::DoNotOptimize(report.ok());
-    if (report.ok()) {
-      marks = report->marks_introduced;
-      count_rows = report->count_rows;
-      supports_after = 0;
-      for (size_t s : report->supports_after) supports_after += s;
-    }
-  }
-  state.counters["marks"] =
-      benchmark::Counter(static_cast<double>(marks));
-  state.counters["supports_after"] =
-      benchmark::Counter(static_cast<double>(supports_after));
-  state.counters["count_rows"] =
-      benchmark::Counter(static_cast<double>(count_rows));
-}
-BENCHMARK(BM_SanitizeEngineSweep)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->ArgNames({"engine", "threads"});
 
 void BM_MineLevelWiseTrucks(benchmark::State& state) {
   ExperimentWorkload w = MakeTrucksWorkload();

@@ -48,7 +48,7 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads) {
-  const MatchKernel kernel(patterns, constraints, KernelEngine::kAuto);
+  const MatchKernel kernel(patterns, constraints);
   return ComputeMatchInfo(db, patterns, constraints, num_threads, kernel);
 }
 

@@ -51,10 +51,10 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const SequenceDatabase& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads);
 
-// Kernel-explicit variant: the counting engine is chosen by the caller
-// (Sanitize builds one MatchKernel per run from SanitizeOptions::kernel).
-// The overloads above delegate here with an auto-dispatched kernel. The
-// result is bit-identical for every engine and thread count.
+// Kernel-explicit variant: the caller supplies the kernel (Sanitize builds
+// one MatchKernel per run and shares it with the verify stage). The
+// overloads above delegate here with a freshly built kernel. The result
+// is bit-identical for every engine and thread count.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads,

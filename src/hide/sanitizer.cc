@@ -162,10 +162,10 @@ Result<SanitizeResult> Sanitize(const DatabaseView& db,
   const bool checkpointing = !opts.checkpoint_path.empty();
 
   // One kernel per run: masks/trie built once from the pattern set, then
-  // shared read-only by the count and verify stages' workers. Engine
-  // choice never changes the output, so it is excluded from the
-  // checkpoint fingerprint — a run may resume under a different kernel.
-  const MatchKernel match_kernel(patterns, constraints, opts.kernel);
+  // shared read-only by the count and verify stages' workers. The engine
+  // is a function of the pattern set, which the checkpoint fingerprint
+  // already covers.
+  const MatchKernel match_kernel(patterns, constraints);
   report.kernel_engine = ToString(match_kernel.engine());
   SEQHIDE_TELEMETRY(kStage, "kernel.resolved",
                     static_cast<uint64_t>(match_kernel.engine()),

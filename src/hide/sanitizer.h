@@ -110,9 +110,9 @@ struct SanitizeReport {
   size_t verify_recount_rows = 0;
   size_t verify_rescan_rows = 0;
 
-  // Resolved matching-kernel engine ("scalar"/"bitset"/"trie"; never
-  // "auto") — what SanitizeOptions::kernel dispatched to. Purely
-  // informational: every engine produces this identical report.
+  // Matching-kernel engine ("scalar"/"bitset"/"trie") the pattern set's
+  // shape picked (match/kernel.h). Purely informational: every engine
+  // produces this identical report.
   std::string kernel_engine;
 
   // --- Robustness (RunBudget / checkpointing; see options.h) ---

@@ -1,7 +1,5 @@
 #include "src/match/kernel.h"
 
-#include <cstdlib>
-
 #include "src/common/logging.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
@@ -20,7 +18,6 @@ const ConstraintSpec& Unconstrained() {
 
 std::string ToString(KernelEngine e) {
   switch (e) {
-    case KernelEngine::kAuto: return "auto";
     case KernelEngine::kScalar: return "scalar";
     case KernelEngine::kBitset: return "bitset";
     case KernelEngine::kTrie: return "trie";
@@ -28,25 +25,9 @@ std::string ToString(KernelEngine e) {
   return "unknown";
 }
 
-bool ParseKernelEngine(const std::string& text, KernelEngine* out) {
-  if (text == "auto") *out = KernelEngine::kAuto;
-  else if (text == "scalar") *out = KernelEngine::kScalar;
-  else if (text == "bitset") *out = KernelEngine::kBitset;
-  else if (text == "trie") *out = KernelEngine::kTrie;
-  else return false;
-  return true;
-}
-
-KernelEngine ResolveKernelEngine(
-    KernelEngine requested, const std::vector<Sequence>& patterns,
+KernelEngine ChooseKernelEngine(
+    const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints) {
-  if (requested != KernelEngine::kAuto) return requested;
-  if (const char* env = std::getenv("SEQHIDE_KERNEL")) {
-    KernelEngine pinned = KernelEngine::kAuto;
-    if (ParseKernelEngine(env, &pinned) && pinned != KernelEngine::kAuto) {
-      return pinned;
-    }
-  }
   size_t unconstrained = 0;
   bool all_fit_bitset = !patterns.empty();
   for (size_t p = 0; p < patterns.size(); ++p) {
@@ -66,12 +47,14 @@ KernelEngine ResolveKernelEngine(
 }
 
 MatchKernel::MatchKernel(const std::vector<Sequence>& patterns,
+                         const std::vector<ConstraintSpec>& constraints)
+    : MatchKernel(patterns, constraints,
+                  ChooseKernelEngine(patterns, constraints)) {}
+
+MatchKernel::MatchKernel(const std::vector<Sequence>& patterns,
                          const std::vector<ConstraintSpec>& constraints,
-                         KernelEngine requested)
-    : patterns_(&patterns),
-      constraints_(&constraints),
-      requested_(requested),
-      engine_(ResolveKernelEngine(requested, patterns, constraints)) {
+                         KernelEngine engine)
+    : patterns_(&patterns), constraints_(&constraints), engine_(engine) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
   if (engine_ == KernelEngine::kBitset || engine_ == KernelEngine::kTrie) {
@@ -91,7 +74,7 @@ uint64_t MatchKernel::CountPattern(size_t p, SequenceView seq,
                                    MatchScratch* scratch) const {
   const Sequence& pattern = (*patterns_)[p];
   const ConstraintSpec& spec = spec_for(p);
-  if (engine_ == KernelEngine::kScalar || !masks_[p].usable()) {
+  if (!fits_word(p)) {
     // Scalar engine, or this pattern is too long for the 64-bit state.
     return CountConstrainedMatchings(pattern, spec, seq, scratch);
   }
@@ -125,32 +108,11 @@ uint64_t MatchKernel::CountRow(SequenceView seq, MatchScratch* scratch,
   return total;
 }
 
-uint64_t MatchKernel::CountTriePatterns(SequenceView seq,
-                                        MatchScratch* scratch,
-                                        std::vector<uint64_t>* counts) const {
-  SEQHIDE_DCHECK(engine_ == KernelEngine::kTrie);
-  const size_t np = patterns_->size();
-  counts->assign(np, 0);
-  if (!trie_->CountAll(seq, scratch, counts->data())) {
-    for (size_t p = 0; p < np; ++p) {
-      if (trie_->Covers(p)) (*counts)[p] = CountPattern(p, seq, scratch);
-    }
-  }
-  uint64_t total = 0;
-  for (size_t p = 0; p < np; ++p) {
-    if (trie_->Covers(p)) total = SatAdd(total, (*counts)[p]);
-  }
-  return total;
-}
-
 bool MatchKernel::HasMatch(size_t p, SequenceView seq,
                            MatchScratch* scratch) const {
   const Sequence& pattern = (*patterns_)[p];
   const ConstraintSpec& spec = spec_for(p);
-  if (engine_ == KernelEngine::kScalar) {
-    return HasConstrainedMatch(pattern, spec, seq, scratch);
-  }
-  const bool fits = masks_[p].usable();
+  const bool fits = fits_word(p);
   if (spec.IsUnconstrained()) {
     // Existence needs no DP at all: Shift-And when the pattern fits one
     // word, the greedy subsequence scan otherwise. Both early-exit.

@@ -16,12 +16,14 @@
 //            unconstrained pattern counted in ONE pass per row instead of
 //            |S| passes. Constrained patterns fall back to scalar.
 //
-// Engine choice: SanitizeOptions::kernel / --kernel=auto|scalar|bitset|
-// trie. `auto` (the default) consults the SEQHIDE_KERNEL environment
-// variable, then picks by shape: >= 2 unconstrained patterns → trie;
-// otherwise every pattern fits 64 bits → bitset; otherwise scalar. The
-// resolved engine is recorded in SanitizeReport::kernel_engine, hence in
-// --stats-json and the telemetry ledger.
+// Engine choice is internal: ChooseKernelEngine picks by the pattern
+// set's shape alone (>= 2 unconstrained patterns → trie; otherwise every
+// pattern fits 64 bits → bitset; otherwise scalar), and nothing outside
+// this module overrides it. The chosen engine is recorded in
+// SanitizeReport::kernel_engine, hence in --stats-json and the telemetry
+// ledger. Every caller that counts or tests for matchings — the sanitize
+// pipeline and the mapped queries (mapped_match.h) alike — goes through a
+// MatchKernel.
 //
 // A MatchKernel is built once per run from the pattern set and then
 // shared read-only across worker threads; all mutable state lives in the
@@ -46,35 +48,31 @@
 
 namespace seqhide {
 
+// The numeric values are the `kernel.resolved` telemetry payload.
 enum class KernelEngine {
-  kAuto = 0,
-  kScalar,
-  kBitset,
-  kTrie,
+  kScalar = 1,
+  kBitset = 2,
+  kTrie = 3,
 };
 
 std::string ToString(KernelEngine e);
-// Accepts "auto", "scalar", "bitset", "trie". False on anything else.
-bool ParseKernelEngine(const std::string& text, KernelEngine* out);
 
-// The engine a kAuto request resolves to for this pattern set: the
-// SEQHIDE_KERNEL environment variable if set and valid (a non-auto pin
-// wins over the heuristic), else the shape heuristic above. A non-auto
-// `requested` is returned unchanged — explicit pins beat the environment.
-KernelEngine ResolveKernelEngine(
-    KernelEngine requested, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints);
+// The engine the shape rule above picks for this pattern set.
+KernelEngine ChooseKernelEngine(const std::vector<Sequence>& patterns,
+                                const std::vector<ConstraintSpec>& constraints);
 
 class MatchKernel {
  public:
   // `constraints` must be empty or parallel to `patterns`; both must
-  // outlive the kernel.
+  // outlive the kernel. The engine is ChooseKernelEngine's pick.
+  MatchKernel(const std::vector<Sequence>& patterns,
+              const std::vector<ConstraintSpec>& constraints);
+  // A fixed engine, for the differential tests and the per-engine
+  // benchmark only: results are identical to the default constructor's.
   MatchKernel(const std::vector<Sequence>& patterns,
               const std::vector<ConstraintSpec>& constraints,
-              KernelEngine requested);
+              KernelEngine engine);
 
-  KernelEngine requested() const { return requested_; }
-  // Never kAuto.
   KernelEngine engine() const { return engine_; }
   size_t num_patterns() const { return patterns_->size(); }
 
@@ -89,30 +87,25 @@ class MatchKernel {
   uint64_t CountRow(SequenceView seq, MatchScratch* scratch,
                     std::vector<uint64_t>* counts) const;
 
-  // Does pattern p have a (constrained) matching in seq? Early-exits via
-  // Shift-And / greedy subsequence scan where the engine allows.
+  // Does pattern p have a (constrained) matching in seq? An unconstrained
+  // pattern never runs a counting DP, whatever the engine: Shift-And when
+  // its masks are built and usable, the greedy subsequence scan otherwise.
+  // A constrained one is Shift-And-screened (when usable) before its DP.
   bool HasMatch(size_t p, SequenceView seq, MatchScratch* scratch) const;
-
-  // True iff the trie engine is active and covers pattern p (used by the
-  // indexed pipelines to split patterns between the one-pass union scan
-  // and the per-pattern candidate loops).
-  bool TrieCovers(size_t p) const {
-    return trie_.has_value() && trie_->Covers(p);
-  }
-  // Like CountRow but only writes counts for trie-covered patterns and
-  // returns their saturating subtotal. REQUIRES the trie engine.
-  uint64_t CountTriePatterns(SequenceView seq, MatchScratch* scratch,
-                             std::vector<uint64_t>* counts) const;
 
  private:
   const ConstraintSpec& spec_for(size_t p) const;
+  // True iff pattern p has usable Shift-And masks (never under scalar).
+  bool fits_word(size_t p) const {
+    return !masks_.empty() && masks_[p].usable();
+  }
 
   const std::vector<Sequence>* patterns_;
   const std::vector<ConstraintSpec>* constraints_;
-  KernelEngine requested_;
   KernelEngine engine_;
-  // Per-pattern Shift-And masks (bitset + trie engines; unusable entries
-  // mean m > 64 → scalar fallback for that pattern).
+  // Per-pattern Shift-And masks (bitset + trie engines; empty under
+  // scalar; unusable entries mean m > 64 → scalar fallback for that
+  // pattern).
   std::vector<SymbolMasks> masks_;
   std::optional<PatternTrie> trie_;
 };

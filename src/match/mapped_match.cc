@@ -2,106 +2,47 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
-#include "src/match/bitset_match.h"
-#include "src/match/constrained_count.h"
 #include "src/match/count.h"
 #include "src/match/kernel.h"
 #include "src/match/scratch.h"
-#include "src/match/subsequence.h"
 
 namespace seqhide {
 
-size_t SupportMapped(const Sequence& pattern, const MappedDatabase& db) {
-  // Shift-And when the pattern fits one word; candidate rows come from
-  // the mapped posting lists either way.
-  const SymbolMasks masks(pattern);
+size_t SupportMapped(const Sequence& pattern, const ConstraintSpec& spec,
+                     const MappedDatabase& db) {
+  const std::vector<Sequence> patterns = {pattern};
+  const std::vector<ConstraintSpec> constraints = {spec};
+  const MatchKernel kernel(patterns, constraints);
+  MatchScratch scratch;
   size_t count = 0;
   for (size_t t : db.CandidateRows(pattern)) {
-    const SequenceView row = db.row(t);
-    const bool hit = masks.usable() ? HasSubsequenceBitParallel(masks, row)
-                                    : IsSubsequence(pattern, row);
-    if (hit) ++count;
+    if (kernel.HasMatch(0, db.row(t), &scratch)) ++count;
   }
   return count;
-}
-
-size_t ConstrainedSupportMapped(const Sequence& pattern,
-                                const ConstraintSpec& spec,
-                                const MappedDatabase& db) {
-  MatchScratch scratch;
-  const SymbolMasks masks(pattern);
-  size_t count = 0;
-  for (size_t t : db.CandidateRows(pattern)) {
-    const SequenceView row = db.row(t);
-    // No unconstrained embedding ⇒ no constrained occurrence: the
-    // Shift-And screen skips the constrained DP on non-supporters.
-    if (masks.usable() && !HasSubsequenceBitParallel(masks, row)) continue;
-    if (HasConstrainedMatch(pattern, spec, row, &scratch)) ++count;
-  }
-  return count;
-}
-
-uint64_t CountMatchingsMapped(const Sequence& pattern,
-                              const MappedDatabase& db) {
-  MatchScratch scratch;
-  const SymbolMasks masks(pattern);
-  uint64_t total = 0;
-  for (size_t t : db.CandidateRows(pattern)) {
-    const SequenceView row = db.row(t);
-    uint64_t c;
-    if (masks.usable()) {
-      c = HasSubsequenceBitParallel(masks, row)
-              ? CountMatchingsBlocked(pattern, masks, row, &scratch)
-              : 0;
-    } else {
-      c = CountMatchings(pattern, row, &scratch);
-    }
-    total = SatAdd(total, c);
-  }
-  return total;
 }
 
 uint64_t CountConstrainedMatchingsTotalMapped(
     const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, const MappedDatabase& db) {
-  const MatchKernel kernel(patterns, constraints, KernelEngine::kAuto);
-  MatchScratch scratch;
-  uint64_t total = 0;
-
-  // Trie-covered patterns: one pass per row of the union of their
-  // candidate lists (a row outside pattern p's list contributes zero for
-  // p, so the union changes nothing but the pass count). SatAdd is
+  // One CountRow per row of the sorted union of the candidate lists. A row
+  // outside pattern p's list contributes zero for p, and SatAdd is
   // associative and commutative, so regrouping the sum is exact.
-  bool any_covered = false;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    if (kernel.TrieCovers(p)) any_covered = true;
+  std::vector<size_t> rows, merged;
+  for (const Sequence& pattern : patterns) {
+    const std::vector<size_t> candidates = db.CandidateRows(pattern);
+    merged.clear();
+    std::set_union(rows.begin(), rows.end(), candidates.begin(),
+                   candidates.end(), std::back_inserter(merged));
+    rows.swap(merged);
   }
-  if (any_covered) {
-    std::vector<uint8_t> seen(db.size(), 0);
-    std::vector<size_t> union_rows;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      if (!kernel.TrieCovers(p)) continue;
-      for (size_t t : db.CandidateRows(patterns[p])) {
-        if (!seen[t]) {
-          seen[t] = 1;
-          union_rows.push_back(t);
-        }
-      }
-    }
-    std::sort(union_rows.begin(), union_rows.end());
-    std::vector<uint64_t> counts;
-    for (size_t t : union_rows) {
-      total = SatAdd(total,
-                     kernel.CountTriePatterns(db.row(t), &scratch, &counts));
-    }
-  }
-
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    if (kernel.TrieCovers(p)) continue;
-    for (size_t t : db.CandidateRows(patterns[p])) {
-      total = SatAdd(total, kernel.CountPattern(p, db.row(t), &scratch));
-    }
+  const MatchKernel kernel(patterns, constraints);
+  MatchScratch scratch;
+  std::vector<uint64_t> counts;
+  uint64_t total = 0;
+  for (size_t t : rows) {
+    total = SatAdd(total, kernel.CountRow(db.row(t), &scratch, &counts));
   }
   return total;
 }

@@ -1,13 +1,14 @@
-// Matching kernels over a memory-mapped seqhidb database.
+// Matching queries over a memory-mapped seqhidb database.
 //
 // Same results as the src/match kernels applied row by row — these
 // wrappers add the mapped file's precomputed indexes: the per-symbol
 // posting lists and the pattern-prefix index narrow the rows that need
-// any scanning or DP work, and the survivors are processed as zero-copy
-// SequenceViews straight out of the mapping. Pruning is exact (the
-// candidate set is a superset of the true supporter set, and pruned rows
-// contribute zero matchings), so every function here is differentially
-// tested equal to its in-memory counterpart.
+// any scanning or DP work, and the survivors go through a MatchKernel
+// (kernel.h) as zero-copy SequenceViews straight out of the mapping. The
+// kernel owns every engine decision; these functions only pick rows.
+// Pruning is exact (the candidate set is a superset of the true supporter
+// set, and pruned rows contribute zero matchings), so every function here
+// is differentially tested equal to its in-memory counterpart.
 
 #ifndef SEQHIDE_MATCH_MAPPED_MATCH_H_
 #define SEQHIDE_MATCH_MAPPED_MATCH_H_
@@ -21,19 +22,11 @@
 
 namespace seqhide {
 
-// sup_D(S) over the mapped database; equals Support(pattern, view).
-size_t SupportMapped(const Sequence& pattern, const MappedDatabase& db);
-
-// Rows with at least one occurrence satisfying `spec`; equals the
-// in-memory ConstrainedSupport of the materialized database.
-size_t ConstrainedSupportMapped(const Sequence& pattern,
-                                const ConstraintSpec& spec,
-                                const MappedDatabase& db);
-
-// Σ_T |M_S^T| over all rows (saturating); equals summing CountMatchings
-// row by row.
-uint64_t CountMatchingsMapped(const Sequence& pattern,
-                              const MappedDatabase& db);
+// Rows with at least one occurrence satisfying `spec` (pass
+// ConstraintSpec() for plain sup_D(S)); equals the in-memory
+// ConstrainedSupport of the materialized database.
+size_t SupportMapped(const Sequence& pattern, const ConstraintSpec& spec,
+                     const MappedDatabase& db);
 
 // Σ_T Σ_S constrained matchings (saturating). `constraints` may be empty
 // (all unconstrained) or parallel to `patterns`.

@@ -823,9 +823,7 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
 uint64_t Server::ComputePatternValue(Method method,
                                      const ConstrainedPattern& cp) const {
   if (method == Method::kSupport) {
-    return cp.constraints.IsUnconstrained()
-               ? SupportMapped(cp.pattern, db_)
-               : ConstrainedSupportMapped(cp.pattern, cp.constraints, db_);
+    return SupportMapped(cp.pattern, cp.constraints, db_);
   }
   return CountConstrainedMatchingsTotalMapped({cp.pattern}, {cp.constraints},
                                               db_);

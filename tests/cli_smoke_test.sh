@@ -107,6 +107,12 @@ fi
 if "$CLI" mine --db "$WORK/db.txt" --sigma 2 --psi 0 > /dev/null 2>&1; then
   echo "FAIL: mine accepted sanitize-only --psi"; exit 1
 fi
+# the matching engine follows the pattern set; there is no --kernel
+if "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/o.txt" \
+    --pattern "a -> b -> c" --kernel trie > /dev/null 2> "$WORK/kernel.err"; then
+  echo "FAIL: sanitize accepted --kernel"; exit 1
+fi
+grep -q "unknown flag --kernel" "$WORK/kernel.err"
 
 # observability sinks that cannot be written fail loudly (exit nonzero)
 if "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/o.txt" \

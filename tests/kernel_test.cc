@@ -1,25 +1,32 @@
-// Unit tests for the matching-kernel dispatch layer (match/kernel.h):
-// flag parsing, the auto-dispatch heuristic and its SEQHIDE_KERNEL
-// override, the m = 64 / m = 65 single-word boundary, and the contract
-// that the chosen engine is invisible in every sanitize output.
+// Unit tests for the matching-kernel dispatch layer (match/kernel.h): the
+// shape rule that picks the engine, the m = 64 / m = 65 single-word
+// boundary, and the contract that the engine is invisible in stage-1
+// results and in sanitize output.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/hide/global.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/bitset_match.h"
 #include "src/match/count.h"
 #include "src/match/kernel.h"
 #include "src/match/scratch.h"
+#include "src/match/subsequence.h"
+#include "src/obs/metrics.h"
+#include "src/seq/view.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
 namespace {
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name)->Value();
+}
 
 Sequence CyclicPattern(size_t length, size_t alphabet_size) {
   Sequence seq;
@@ -29,33 +36,17 @@ Sequence CyclicPattern(size_t length, size_t alphabet_size) {
   return seq;
 }
 
-TEST(KernelEngineTest, ParseAndToStringRoundTrip) {
-  for (KernelEngine engine : {KernelEngine::kAuto, KernelEngine::kScalar,
-                              KernelEngine::kBitset, KernelEngine::kTrie}) {
-    KernelEngine parsed;
-    ASSERT_TRUE(ParseKernelEngine(ToString(engine), &parsed))
-        << ToString(engine);
-    EXPECT_EQ(parsed, engine);
-  }
-  KernelEngine parsed;
-  EXPECT_FALSE(ParseKernelEngine("", &parsed));
-  EXPECT_FALSE(ParseKernelEngine("Trie", &parsed));
-  EXPECT_FALSE(ParseKernelEngine("simd", &parsed));
-}
-
 TEST(KernelEngineTest, AutoDispatchHeuristic) {
   const std::vector<ConstraintSpec> none;
   // Two unconstrained patterns share a trie.
   {
     std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kTrie);
+    EXPECT_EQ(ChooseKernelEngine(patterns, none), KernelEngine::kTrie);
   }
   // A single word-sized pattern gets the bit-parallel kernel.
   {
     std::vector<Sequence> patterns = {Sequence{0, 1, 2}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kBitset);
+    EXPECT_EQ(ChooseKernelEngine(patterns, none), KernelEngine::kBitset);
   }
   // Constrained patterns never reach the trie; word-sized ones still
   // benefit from the Shift-And screen.
@@ -63,37 +54,19 @@ TEST(KernelEngineTest, AutoDispatchHeuristic) {
     std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2}};
     std::vector<ConstraintSpec> constraints(2,
                                             ConstraintSpec::UniformGap(0, 2));
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, constraints),
+    EXPECT_EQ(ChooseKernelEngine(patterns, constraints),
               KernelEngine::kBitset);
   }
   // A pattern past the 64-symbol word falls back to scalar.
   {
     std::vector<Sequence> patterns = {CyclicPattern(65, 4)};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kScalar);
+    EXPECT_EQ(ChooseKernelEngine(patterns, none), KernelEngine::kScalar);
   }
-  // An explicit pin always wins.
+  // The default constructor takes the shape rule's pick.
   {
     std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kScalar, patterns, none),
-              KernelEngine::kScalar);
+    EXPECT_EQ(MatchKernel(patterns, none).engine(), KernelEngine::kTrie);
   }
-}
-
-TEST(KernelEngineTest, EnvironmentOverridesAuto) {
-  const std::vector<ConstraintSpec> none;
-  std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-  ASSERT_EQ(::setenv("SEQHIDE_KERNEL", "scalar", 1), 0);
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-            KernelEngine::kScalar);
-  // The env pin only fills in auto; explicit requests are untouched.
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kTrie, patterns, none),
-            KernelEngine::kTrie);
-  // Garbage in the env var is ignored, not fatal.
-  ASSERT_EQ(::setenv("SEQHIDE_KERNEL", "warp", 1), 0);
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-            KernelEngine::kTrie);
-  ASSERT_EQ(::unsetenv("SEQHIDE_KERNEL"), 0);
 }
 
 // The single-word boundary: m = 64 still runs bit-parallel, m = 65 does
@@ -115,53 +88,92 @@ TEST(KernelEngineTest, WordBoundaryAt64Symbols) {
     EXPECT_EQ(kernel.CountPattern(0, text, &scratch), scalar) << m;
     EXPECT_EQ(kernel.HasMatch(0, text, &scratch), scalar > 0) << m;
   }
+  // Past the word the shape rule picks scalar, and existence still runs
+  // the greedy scan, never the counting DP.
+  const Sequence long_pattern = CyclicPattern(65, kAlphabet);
+  const std::vector<Sequence> patterns = {long_pattern};
+  const MatchKernel kernel(patterns, none);
+  EXPECT_EQ(kernel.engine(), KernelEngine::kScalar);
+  for (const Sequence& haystack : {text, CyclicPattern(130, kAlphabet)}) {
+    const uint64_t rows_before = CounterValue("match.count.dp_rows");
+    EXPECT_EQ(kernel.HasMatch(0, haystack, &scratch),
+              IsSubsequence(long_pattern, haystack));
+    EXPECT_EQ(CounterValue("match.count.dp_rows"), rows_before);
+  }
 }
 
-// --kernel is a pure speed knob: every engine × thread count must release
-// the identical database and report. (The bench engine-sweep additionally
-// pins the semantic counters; this is the library-level contract.)
+// The engine is invisible in every output. Every engine × thread count
+// computes the scalar engine's stage-1 match info, field by field; and
+// the default-dispatched Sanitize releases the same database and report
+// at every thread count.
 TEST(KernelEngineTest, EngineIsInvisibleInSanitizeOutput) {
   Rng rng(4242);
-  SequenceDatabase base = testutil::RandomDb(&rng, /*rows=*/60,
-                                             /*min_length=*/6,
-                                             /*max_length=*/18,
-                                             /*alphabet_size=*/5);
-  std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 5),
-                                    testutil::RandomSeq(&rng, 3, 5),
-                                    testutil::RandomSeq(&rng, 4, 5)};
-
-  SanitizeOptions reference_opts = SanitizeOptions::HH();
-  reference_opts.psi = 2;
-  reference_opts.kernel = KernelEngine::kScalar;
-  reference_opts.num_threads = 1;
-  SequenceDatabase reference_db = base;
-  auto reference = Sanitize(&reference_db, patterns, reference_opts);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(reference->kernel_engine, "scalar");
+  const SequenceDatabase base = testutil::RandomDb(&rng, /*rows=*/60,
+                                                   /*min_length=*/6,
+                                                   /*max_length=*/18,
+                                                   /*alphabet_size=*/5);
+  const std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 5),
+                                          testutil::RandomSeq(&rng, 3, 5),
+                                          testutil::RandomSeq(&rng, 4, 5)};
+  const std::vector<ConstraintSpec> none;
+  const DatabaseView view(base);
+  const std::vector<SequenceMatchInfo> reference_info = ComputeMatchInfo(
+      view, patterns, none, 1, MatchKernel(patterns, none,
+                                           KernelEngine::kScalar));
+  ASSERT_EQ(reference_info.size(), base.size());
 
   for (KernelEngine engine : {KernelEngine::kScalar, KernelEngine::kBitset,
                               KernelEngine::kTrie}) {
+    const MatchKernel kernel(patterns, none, engine);
     for (size_t threads : {1u, 2u, 8u}) {
-      SanitizeOptions opts = reference_opts;
-      opts.kernel = engine;
-      opts.num_threads = threads;
-      SequenceDatabase db = base;
-      auto report = Sanitize(&db, patterns, opts);
       const std::string what =
           ToString(engine) + "/threads=" + std::to_string(threads);
-      ASSERT_TRUE(report.ok()) << what << ": " << report.status();
-      EXPECT_EQ(report->kernel_engine, ToString(engine)) << what;
-      ASSERT_EQ(db.size(), reference_db.size()) << what;
-      for (size_t t = 0; t < db.size(); ++t) {
-        EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
+      const std::vector<SequenceMatchInfo> info =
+          ComputeMatchInfo(view, patterns, none, threads, kernel);
+      ASSERT_EQ(info.size(), reference_info.size()) << what;
+      for (size_t t = 0; t < info.size(); ++t) {
+        EXPECT_EQ(info[t].index, reference_info[t].index)
+            << what << " row " << t;
+        EXPECT_EQ(info[t].matching_count, reference_info[t].matching_count)
+            << what << " row " << t;
+        EXPECT_EQ(info[t].pattern_support, reference_info[t].pattern_support)
+            << what << " row " << t;
       }
-      EXPECT_EQ(report->marks_introduced, reference->marks_introduced)
-          << what;
-      EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
-          << what;
-      EXPECT_EQ(report->supports_before, reference->supports_before) << what;
-      EXPECT_EQ(report->supports_after, reference->supports_after) << what;
     }
+  }
+
+  SanitizeOptions opts = SanitizeOptions::HH();
+  opts.psi = 2;
+  opts.num_threads = 1;
+  SequenceDatabase reference_db = base;
+  auto reference = Sanitize(&reference_db, patterns, opts);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(reference->kernel_engine, "trie");
+
+  for (size_t threads : {2u, 8u}) {
+    opts.num_threads = threads;
+    SequenceDatabase db = base;
+    auto report = Sanitize(&db, patterns, opts);
+    const std::string what = "threads=" + std::to_string(threads);
+    ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+    ASSERT_EQ(db.size(), reference_db.size()) << what;
+    for (size_t t = 0; t < db.size(); ++t) {
+      EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
+    }
+    EXPECT_EQ(report->kernel_engine, reference->kernel_engine) << what;
+    EXPECT_EQ(report->marks_introduced, reference->marks_introduced) << what;
+    EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
+        << what;
+    EXPECT_EQ(report->sequences_supporting_before,
+              reference->sequences_supporting_before)
+        << what;
+    EXPECT_EQ(report->supports_before, reference->supports_before) << what;
+    EXPECT_EQ(report->supports_after, reference->supports_after) << what;
+    EXPECT_EQ(report->count_rows, reference->count_rows) << what;
+    EXPECT_EQ(report->verify_recount_rows, reference->verify_recount_rows)
+        << what;
+    EXPECT_EQ(report->verify_rescan_rows, reference->verify_rescan_rows)
+        << what;
   }
 }
 

@@ -38,7 +38,8 @@ TEST(MappedMatchTest, SupportMatchesInMemory) {
     MappedDatabase mapped = Map(db);
     for (int i = 0; i < 20; ++i) {
       Sequence pattern = testutil::RandomSeq(&rng, 1 + i % 5, 4);
-      EXPECT_EQ(SupportMapped(pattern, mapped), Support(pattern, db))
+      EXPECT_EQ(SupportMapped(pattern, ConstraintSpec(), mapped),
+                Support(pattern, db))
           << pattern.DebugString();
     }
   }
@@ -55,7 +56,8 @@ TEST(MappedMatchTest, CountMatchingsMatchesInMemory) {
     for (size_t t = 0; t < db.size(); ++t) {
       expected = SatAdd(expected, CountMatchings(pattern, db[t], &scratch));
     }
-    EXPECT_EQ(CountMatchingsMapped(pattern, mapped), expected)
+    EXPECT_EQ(CountConstrainedMatchingsTotalMapped({pattern}, {}, mapped),
+              expected)
         << pattern.DebugString();
   }
 }
@@ -68,7 +70,7 @@ TEST(MappedMatchTest, ConstrainedSupportMatchesInMemory) {
     Sequence pattern = testutil::RandomSeq(&rng, 2 + i % 3, 4);
     ConstraintSpec spec =
         proptest::GenConstraintSpec(&rng, pattern.size(), 14);
-    EXPECT_EQ(ConstrainedSupportMapped(pattern, spec, mapped),
+    EXPECT_EQ(SupportMapped(pattern, spec, mapped),
               ConstrainedSupport(pattern, spec, db))
         << pattern.DebugString();
   }
@@ -110,6 +112,30 @@ TEST(MappedMatchTest, ConstrainedTotalMatchesInMemory) {
             unconstrained);
 }
 
+// A constrained and an unconstrained pattern over disjoint symbols: their
+// candidate lists differ, so the union pass scores each pattern on rows
+// outside its own list, which must contribute nothing.
+TEST(MappedMatchTest, MixedPatternsOverDifferentCandidateRows) {
+  Rng rng(131);
+  SequenceDatabase db = testutil::RandomDb(&rng, 40, 0, 12, 6);
+  MappedDatabase mapped = Map(db);
+  const std::vector<Sequence> patterns = {Sequence{0, 1, 2},
+                                          Sequence{3, 4}};
+  const std::vector<ConstraintSpec> constraints = {
+      ConstraintSpec::UniformGap(0, 3), ConstraintSpec()};
+  ASSERT_NE(mapped.CandidateRows(patterns[0]),
+            mapped.CandidateRows(patterns[1]));
+  MatchScratch scratch;
+  uint64_t expected = 0;
+  for (size_t t = 0; t < db.size(); ++t) {
+    expected = SatAdd(expected, CountConstrainedMatchingsTotal(
+                                    patterns, constraints, db[t], &scratch));
+  }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(CountConstrainedMatchingsTotalMapped(patterns, constraints, mapped),
+            expected);
+}
+
 TEST(MappedMatchTest, UnknownSymbolsHaveZeroSupport) {
   Rng rng(113);
   SequenceDatabase db = testutil::RandomDb(&rng, 10, 1, 8, 3);
@@ -117,8 +143,8 @@ TEST(MappedMatchTest, UnknownSymbolsHaveZeroSupport) {
   // A pattern symbol the file has never seen: id beyond alphabet_size.
   Sequence pattern;
   pattern.Append(static_cast<SymbolId>(db.alphabet().size() + 5));
-  EXPECT_EQ(SupportMapped(pattern, mapped), 0u);
-  EXPECT_EQ(CountMatchingsMapped(pattern, mapped), 0u);
+  EXPECT_EQ(SupportMapped(pattern, ConstraintSpec(), mapped), 0u);
+  EXPECT_EQ(CountConstrainedMatchingsTotalMapped({pattern}, {}, mapped), 0u);
   EXPECT_TRUE(mapped.CandidateRows(pattern).empty());
 }
 

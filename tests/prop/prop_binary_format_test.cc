@@ -69,20 +69,24 @@ TEST(BinaryFormatProps, MappedKernelsEqualInMemoryKernels) {
       const ConstraintSpec& spec = inst.constraints.empty()
                                        ? ConstraintSpec()
                                        : inst.constraints[p];
-      if (SupportMapped(pattern, *mapped) != Support(pattern, inst.db)) {
-        return "SupportMapped mismatch for S" + std::to_string(p);
+      if (SupportMapped(pattern, ConstraintSpec(), *mapped) !=
+          Support(pattern, inst.db)) {
+        return "unconstrained SupportMapped mismatch for S" +
+               std::to_string(p);
       }
-      if (ConstrainedSupportMapped(pattern, spec, *mapped) !=
+      if (SupportMapped(pattern, spec, *mapped) !=
           ConstrainedSupport(pattern, spec, inst.db)) {
-        return "ConstrainedSupportMapped mismatch for S" + std::to_string(p);
+        return "SupportMapped mismatch for S" + std::to_string(p);
       }
       uint64_t expected = 0;
       for (size_t t = 0; t < inst.db.size(); ++t) {
         expected =
             SatAdd(expected, CountMatchings(pattern, inst.db[t], &scratch));
       }
-      if (CountMatchingsMapped(pattern, *mapped) != expected) {
-        return "CountMatchingsMapped mismatch for S" + std::to_string(p);
+      if (CountConstrainedMatchingsTotalMapped({pattern}, {}, *mapped) !=
+          expected) {
+        return "single-pattern CountConstrainedMatchingsTotalMapped "
+               "mismatch for S" + std::to_string(p);
       }
     }
     uint64_t total = 0;

@@ -110,7 +110,6 @@ void PrintUsage() {
       "  sanitize --db FILE --out FILE --pattern P [--pattern P ...]\n"
       "           [--psi N] [--algo HH|HR|RH|RR] [--seed N]\n"
       "           [--threads N (0=auto)]\n"
-      "           [--kernel auto|scalar|bitset|trie]\n"
       "           [--stage2 keep|delete|replace] [--format seq|itemset]\n"
       "           [--stats-json FILE] [--trace-json FILE]\n"
       "           [--ledger FILE] [--metrics-prom FILE]\n"
@@ -179,7 +178,7 @@ Status ValidateFlags(const ParsedArgs& args) {
          "inject-fault"}}},
       {"sanitize",
        {true,
-        {"db", "out", "psi", "algo", "seed", "threads", "kernel", "stage2",
+        {"db", "out", "psi", "algo", "seed", "threads", "stage2",
          "format",
          "db-format", "stats-json", "trace-json", "input-mode", "inject-fault",
          "ledger", "metrics-prom", "telemetry-interval-ms",
@@ -623,13 +622,15 @@ Status RunSupport(const ParsedArgs& args) {
     SEQHIDE_ASSIGN_OR_RETURN(std::vector<ConstrainedPattern> patterns,
                              ParsePatterns(args, &alphabet));
     for (size_t i = 0; i < patterns.size(); ++i) {
-      size_t constrained = ConstrainedSupportMapped(
-          patterns[i].pattern, patterns[i].constraints, mapped);
+      size_t constrained = SupportMapped(patterns[i].pattern,
+                                         patterns[i].constraints, mapped);
       std::cout << "pattern " << i + 1 << ": \"" << args.patterns[i]
                 << "\"  support=" << constrained;
       if (!patterns[i].constraints.IsUnconstrained()) {
         std::cout << "  (unconstrained support="
-                  << SupportMapped(patterns[i].pattern, mapped) << ")";
+                  << SupportMapped(patterns[i].pattern, ConstraintSpec(),
+                                   mapped)
+                  << ")";
       }
       std::cout << "\n";
     }
@@ -761,12 +762,6 @@ Status RunSanitize(const ParsedArgs& args) {
   SEQHIDE_ASSIGN_OR_RETURN(opts.psi, FlagAsSize(args, "psi", 0));
   SEQHIDE_ASSIGN_OR_RETURN(opts.seed, FlagAsSize(args, "seed", 1));
   SEQHIDE_ASSIGN_OR_RETURN(opts.num_threads, FlagAsSize(args, "threads", 1));
-  if (auto it = args.flags.find("kernel"); it != args.flags.end()) {
-    if (!ParseKernelEngine(it->second, &opts.kernel)) {
-      return Status::InvalidArgument(
-          "--kernel must be auto, scalar, bitset or trie");
-    }
-  }
   SEQHIDE_ASSIGN_OR_RETURN(opts.budget.deadline_seconds,
                            FlagAsDouble(args, "deadline-seconds", 0.0));
   // --deadline-ms is the serving-world spelling of the same budget; when
