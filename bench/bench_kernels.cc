@@ -5,6 +5,7 @@
 //   * Lemma 3 prefix table — paper O(n²m) recurrence vs our O(nm)
 //     prefix-sum variant,
 //   * δ(T[i]) — paper's deletion method (Thm. 2) vs forward×backward,
+//     unconstrained, gap-bounded and windowed,
 //   * constrained counting (gaps / window),
 //   * single-sequence sanitization,
 //   * PrefixSpan vs level-wise mining.
@@ -94,6 +95,33 @@ void BM_PositionDeltasFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PositionDeltasFast)->Range(16, 1024);
+
+// δ with a min-gap and no max-gap: every suffix-table cell spans the rest
+// of the row, which the sliding sums answer in O(1), so time grows ≈2× per
+// doubling of n, like BM_PositionDeltasFast.
+void BM_PositionDeltasGap(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Sequence t = MakeSeq(n, 10, 1);
+  Sequence s = MakeSeq(3, 10, 2);
+  ConstraintSpec spec = ConstraintSpec::UniformGap(1, GapBound::kNoMax);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PositionDeltas(s, spec, t));
+  }
+}
+BENCHMARK(BM_PositionDeltasGap)->Range(16, 1024);
+
+// δ under a fixed window: one forward and one backward table per anchor
+// over a slice of Ws positions, O(n·Ws·m), so ≈2× per doubling of n.
+void BM_PositionDeltasWindow(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Sequence t = MakeSeq(n, 10, 1);
+  Sequence s = MakeSeq(3, 10, 2);
+  ConstraintSpec spec = ConstraintSpec::Window(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PositionDeltas(s, spec, t));
+  }
+}
+BENCHMARK(BM_PositionDeltasWindow)->Range(16, 1024);
 
 void BM_PositionDeltasByDeletion(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -3,6 +3,10 @@
 //
 // Heuristic strategy: mark argmax_i δ(T[i]) (the position involved in the
 // most matchings), recompute, repeat — the paper's Sanitize(T, S_h).
+// δ = Σ_S δ_S is kept as one row per pattern, and after a mark at i only
+// the patterns with δ_S(T[i]) > 0 are recomputed: the others lost no
+// matching, so their rows are unchanged (counter local.pattern_delta_reuses
+// counts the rows kept). The marks are those of a full recomputation.
 // Random strategy: mark a uniformly random position among those involved
 // in at least one matching (δ > 0).
 //
@@ -45,8 +49,9 @@ LocalSanitizeResult SanitizeSequence(
     Rng* rng);
 
 // Scratch-reusing variant: δ recomputation (the per-round dominant cost)
-// runs allocation-free once *scratch is warm. One scratch per thread; the
-// pipeline's mark stage hands each worker its own.
+// and the per-pattern δ rows run allocation-free once *scratch is warm.
+// One scratch per thread; the pipeline's mark stage hands each worker its
+// own.
 LocalSanitizeResult SanitizeSequence(
     Sequence* seq, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, LocalStrategy strategy,

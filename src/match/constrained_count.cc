@@ -4,55 +4,11 @@
 
 #include "src/common/logging.h"
 #include "src/match/count.h"
+#include "src/match/gap_sums.h"
 #include "src/obs/macros.h"
 
 namespace seqhide {
 namespace {
-
-// Gap-valid embeddings of `pattern` in the slice seq[first..last]
-// (0-based, inclusive) that end exactly at `last`. Used by the Lemma 5
-// windowed evaluation; `spec`'s window is ignored here (the slice *is*
-// the window).
-uint64_t CountGapMatchingsEndingAt(const Sequence& pattern,
-                                   const ConstraintSpec& spec,
-                                   SequenceView seq, size_t first,
-                                   size_t last, MatchScratch* scratch) {
-  const size_t m = pattern.size();
-  SEQHIDE_DCHECK(last < seq.size());
-  if (m == 0) return 0;
-  if (seq[last] != pattern[m - 1]) return 0;
-
-  // ends[k-1][j] = gap-valid embeddings of S[1..k] within the slice,
-  // ending exactly at absolute position j. Only positions in
-  // [first, last] participate.
-  DpTable& ends = scratch->window;
-  if (!TryResizeAndZeroTable(scratch, &ends, m, seq.size())) return 0;
-  for (size_t j = first; j <= last; ++j) {
-    if (seq[j] == pattern[0]) ends[0][j] = 1;
-  }
-  for (size_t k = 1; k < m; ++k) {
-    const GapBound bound = spec.gap(k - 1);
-    for (size_t j = first; j <= last; ++j) {
-      if (seq[j] != pattern[k]) continue;
-      // Predecessor l must satisfy: first <= l < j and
-      // bound.Allows(j - l - 1), i.e. l in [j-1-Mg, j-1-mg].
-      if (j == 0) continue;
-      size_t hi = (j - 1 >= bound.min_gap) ? j - 1 - bound.min_gap : 0;
-      if (j - 1 < bound.min_gap) continue;
-      size_t lo = first;
-      if (bound.max_gap != GapBound::kNoMax && j >= 1 + bound.max_gap &&
-          j - 1 - bound.max_gap > lo) {
-        lo = j - 1 - bound.max_gap;
-      }
-      uint64_t sum = 0;
-      for (size_t l = lo; l <= hi; ++l) {
-        sum = SatAdd(sum, ends[k - 1][l]);
-      }
-      ends[k][j] = sum;
-    }
-  }
-  return ends[m - 1][last];
-}
 
 // Total gap-valid (window-free) matchings: Σ_j Q[m][j].
 uint64_t CountGapMatchings(const Sequence& pattern, const ConstraintSpec& spec,
@@ -61,20 +17,29 @@ uint64_t CountGapMatchings(const Sequence& pattern, const ConstraintSpec& spec,
   return TotalFromPrefixEndTable(scratch->fwd);
 }
 
-// Lemma 5: sum over ending positions j of the count of (gap-valid)
-// embeddings confined to the window [j - Ws + 1, j] that end exactly at j.
+// Lemma 5, by first position: every windowed matching starts at exactly
+// one anchor s (seq[s] = S[1]) and lies inside the slice [s, s + Ws), so
+// the count is the sum over anchors of the anchored table's last row.
+// O(n·Ws·m).
 uint64_t CountWindowedMatchings(const Sequence& pattern,
                                 const ConstraintSpec& spec,
                                 SequenceView seq, MatchScratch* scratch) {
-  const size_t ws = *spec.max_window();
   SEQHIDE_COUNTER_INC("match.window.calls");
-  SEQHIDE_COUNTER_ADD("match.window.slices", seq.size());
+  const size_t n = seq.size();
+  const size_t slice = std::min(*spec.max_window(), n);
+  if (pattern.empty() || slice < pattern.size()) return 0;  // nothing fits
+  DpTable& fwd = scratch->window_fwd;
+  if (!TryResizeAndZeroTable(scratch, &fwd, pattern.size(), slice)) return 0;
   uint64_t total = 0;
-  for (size_t j = 0; j < seq.size(); ++j) {
-    size_t first = (j + 1 >= ws) ? j + 1 - ws : 0;
-    total = SatAdd(total, CountGapMatchingsEndingAt(pattern, spec, seq, first,
-                                                    j, scratch));
+  size_t anchors = 0;
+  for (size_t s = 0; s < n; ++s) {
+    if (seq[s] != pattern[0]) continue;
+    ++anchors;
+    total = SatAdd(total, FillAnchoredPrefixTable(pattern, spec, seq, s,
+                                                  std::min(slice, n - s),
+                                                  &fwd));
   }
+  SEQHIDE_COUNTER_ADD("match.window.slices", anchors);
   return total;
 }
 
@@ -113,26 +78,35 @@ void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
   }
   // k >= 2: restrict the predecessor span per Lemma 4. In 1-based paper
   // indexing the predecessor l of an occurrence ending at j satisfies
-  // l in [j-1-Mg, j-1-mg] (intersected with [1, j-1]).
+  // l in [j-1-Mg, j-1-mg] (intersected with [1, j-1]). Column 0 is the
+  // virtual start, so the rows are handed over from column 1 on.
   for (size_t k = 2; k <= m; ++k) {
-    const GapBound bound = spec.gap(k - 2);
-    for (size_t j = 1; j <= n; ++j) {
-      const SymbolId t = seq[j - 1];
-      if (!IsRealSymbol(t) || pattern[k - 1] != t) continue;
-      if (j - 1 < 1 || j - 1 < bound.min_gap) continue;
-      size_t hi = j - 1 - bound.min_gap;
-      if (hi < 1) continue;
-      size_t lo = 1;
-      if (bound.max_gap != GapBound::kNoMax && j >= 2 + bound.max_gap) {
-        lo = std::max<size_t>(lo, j - 1 - bound.max_gap);
-      }
-      uint64_t sum = 0;
-      for (size_t l = lo; l <= hi; ++l) {
-        sum = SatAdd(sum, table[k - 1][l]);
-      }
-      table[k][j] = sum;
-    }
+    const SymbolId want = pattern[k - 1];
+    GapPredecessorSums(
+        table[k - 1].data() + 1, n, spec.gap(k - 2),
+        [&](size_t p) { return IsRealSymbol(seq[p]) && seq[p] == want; },
+        table[k].data() + 1);
   }
+}
+
+uint64_t FillAnchoredPrefixTable(const Sequence& pattern,
+                                 const ConstraintSpec& spec, SequenceView seq,
+                                 size_t first, size_t len, DpTable* fwd) {
+  const size_t m = pattern.size();
+  SEQHIDE_DCHECK(m > 0 && fwd->size() >= m && first + len <= seq.size());
+  SEQHIDE_DCHECK(seq[first] == pattern[0]);
+  DpTable& f = *fwd;
+  f[0][0] = 1;
+  std::fill(f[0].begin() + 1, f[0].begin() + len, 0);
+  for (size_t k = 1; k < m; ++k) {
+    const SymbolId want = pattern[k];
+    GapPredecessorSums(
+        f[k - 1].data(), len, spec.gap(k - 1),
+        [&](size_t u) { return seq[first + u] == want; }, f[k].data());
+  }
+  uint64_t total = 0;
+  for (size_t u = 0; u < len; ++u) total = SatAdd(total, f[m - 1][u]);
+  return total;
 }
 
 uint64_t CountConstrainedMatchings(const Sequence& pattern,
@@ -166,10 +140,11 @@ uint64_t CountConstrainedMatchingsTotal(
     MatchScratch* scratch) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
+  const ConstraintSpec unconstrained;
   uint64_t total = 0;
   for (size_t p = 0; p < patterns.size(); ++p) {
     const ConstraintSpec& spec =
-        constraints.empty() ? ConstraintSpec() : constraints[p];
+        constraints.empty() ? unconstrained : constraints[p];
     total = SatAdd(total,
                    CountConstrainedMatchings(patterns[p], spec, seq, scratch));
   }

@@ -5,14 +5,20 @@
 //   the Lemma 3 prefix table — Q[k][j] counts gap-valid embeddings of the
 //   length-k prefix ending exactly at T[j]; the predecessor index span is
 //   restricted by the arrow's [mg, Mg].
-// * Max-window constraint (Lemma 5): for each ending index j, embeddings
-//   must start at index >= j - Ws + 1; the count is obtained by building
-//   the (gap-aware) table over the window T[j-Ws+1 .. j] and reading the
-//   entry that ends exactly at j.
+// * Max-window constraint (Lemma 5): an embedding that starts at index s
+//   must end at index <= s + Ws - 1. Lemma 5 sums, over ending indices j,
+//   the table built over the window T[j-Ws+1 .. j]; that rebuilds a table
+//   per position. Here each embedding is charged to its first index
+//   instead: per anchor s with T[s] = S[1], one gap-aware table over
+//   T[s .. s+Ws-1] counts the embeddings that start at s
+//   (FillAnchoredPrefixTable). O(n·Ws·m) per count, and the same table is
+//   the forward half of the windowed δ (position_delta.h).
 // * Conjunction: the window computation simply uses Q instead of P, as in
 //   the paper's closing remark of §5.
 //
-// All counts saturate (see count.h).
+// Gap-bounded sums use the O(1)-per-cell sliding sums of gap_sums.h, so
+// the gap table is O(nm) whatever the bounds. All counts saturate (see
+// count.h).
 
 #ifndef SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
 #define SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
@@ -50,9 +56,20 @@ void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
                           SequenceView seq, MatchScratch* scratch,
                           PrefixEndTable* out);
 
+// The anchored window table. With seq[first] = pattern[0], fills
+// (*fwd)[k][u] for k < m and u < len with the gap-valid embeddings of
+// S[1..k+1] that start at `first` and end at first + u, and returns
+// Σ_u (*fwd)[m-1][u]. With len = min(Ws, |seq| - first) that is the number
+// of window-valid matchings whose first index is `first`. `fwd` must have
+// at least m rows of at least `len` cells; the window in `spec` is not
+// read (the slice is the window).
+uint64_t FillAnchoredPrefixTable(const Sequence& pattern,
+                                 const ConstraintSpec& spec, SequenceView seq,
+                                 size_t first, size_t len, DpTable* fwd);
+
 // |{matchings of `pattern` in `seq` satisfying `spec`}|. Dispatches:
 // unconstrained -> Lemma 2 count; gaps only -> Σ_j Q[m][j]; window
-// (with or without gaps) -> Lemma 5 windowed evaluation.
+// (with or without gaps) -> Σ over anchors of FillAnchoredPrefixTable.
 uint64_t CountConstrainedMatchings(const Sequence& pattern,
                                    const ConstraintSpec& spec,
                                    SequenceView seq);

@@ -1,8 +1,11 @@
 #include "src/match/position_delta.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
+#include "src/match/gap_sums.h"
 #include "src/match/prefix_table.h"
 #include "src/obs/macros.h"
 
@@ -13,10 +16,7 @@ namespace {
 // gap-valid embeddings of the suffix S[k+1..m] (1-based pattern indexing)
 // entirely at positions > j, where arrow k's gap constraint binds between
 // position j and the suffix's first matched position. bwd[m][j] = 1.
-//
-// Returned flattened as rows k = 0..m over n+1 "virtual" anchor positions:
-// index j = position in T; an extra anchor value is not needed because the
-// sanitizer only queries j that hold a real symbol.
+// Each row is one sliding sum over the row below (gap_sums.h): O(nm).
 void BuildSuffixExtensionTableInto(const Sequence& pattern,
                                    const ConstraintSpec& spec,
                                    SequenceView seq, MatchScratch* scratch,
@@ -30,42 +30,63 @@ void BuildSuffixExtensionTableInto(const Sequence& pattern,
   // symbols, so the next suffix symbol is S[k+1] = pattern[k] (0-based),
   // and the arrow S[k] -> S[k+1] has 0-based arrow index k - 1.
   for (size_t k = m - 1; k >= 1; --k) {
-    const GapBound bound = spec.gap(k - 1);
-    for (size_t j = 0; j < n; ++j) {
-      uint64_t sum = 0;
-      // l ranges over positions after j whose gap (l - j - 1) is allowed.
-      size_t lo = j + 1 + bound.min_gap;
-      size_t hi = (bound.max_gap == GapBound::kNoMax)
-                      ? n - 1
-                      : std::min(n - 1, j + 1 + bound.max_gap);
-      for (size_t l = lo; l <= hi && l < n; ++l) {
-        if (seq[l] == pattern[k]) {
-          sum = SatAdd(sum, bwd[k + 1][l]);
-        }
-      }
-      bwd[k][j] = sum;
-    }
+    const SymbolId want = pattern[k];
+    const DpRow& next = bwd[k + 1];
+    GapSuccessorSums(
+        n, spec.gap(k - 1),
+        [&](size_t l) { return seq[l] == want ? next[l] : uint64_t{0}; },
+        bwd[k].data());
   }
 }
 
-// Scratch-reusing mark-and-recount: scratch->marked is the working copy
-// (re-assigned per position, so no per-position allocation once its
-// capacity covers |seq|).
-void PositionDeltasByMarkingInto(const Sequence& pattern,
-                                 const ConstraintSpec& spec,
-                                 SequenceView seq, MatchScratch* scratch,
-                                 std::vector<uint64_t>* out) {
-  SEQHIDE_COUNTER_INC("delta.marking_calls");
-  const uint64_t base = CountConstrainedMatchings(pattern, spec, seq, scratch);
-  out->assign(seq.size(), 0);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    if (!IsRealSymbol(seq[i])) continue;
-    scratch->marked = seq.Materialize();
-    scratch->marked.Mark(i);
-    uint64_t without =
-        CountConstrainedMatchings(pattern, spec, scratch->marked, scratch);
-    SEQHIDE_DCHECK(without <= base);
-    (*out)[i] = base - without;
+// δ under a window constraint. Every windowed matching has exactly one
+// first index s (seq[s] = S[1]) and lies inside the slice [s, s + Ws).
+// Per anchor s, the forward table counts the prefixes that start at s and
+// the backward table the suffixes that end inside the slice, so
+// Σ_k fwd[k][u]·bwd[k][u] counts the matchings that start at s and use
+// s + u. Summing over anchors counts each matching once. O(n·Ws·m).
+void WindowedDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
+                        SequenceView seq, MatchScratch* scratch, DpRow* out) {
+  SEQHIDE_COUNTER_INC("delta.window_calls");
+  const size_t m = pattern.size();
+  const size_t n = seq.size();
+  out->assign(n, 0);
+  const size_t slice = std::min(*spec.max_window(), n);
+  if (slice < m) return;  // no matching fits in the window
+  DpTable& fwd = scratch->window_fwd;
+  DpTable& bwd = scratch->window_bwd;
+  if (!TryResizeAndZeroTable(scratch, &fwd, m, slice) ||
+      !TryResizeAndZeroTable(scratch, &bwd, m, slice)) {
+    return;
+  }
+  for (size_t s = 0; s < n; ++s) {
+    if (seq[s] != pattern[0]) continue;
+    const size_t len = std::min(slice, n - s);
+    if (FillAnchoredPrefixTable(pattern, spec, seq, s, len, &fwd) == 0) {
+      continue;
+    }
+    // bwd[k][u]: embeddings of S[k+2..m] (1-based) after s + u inside the
+    // slice, honouring arrow k+1 from s + u; the last row is the empty
+    // suffix.
+    std::fill(bwd[m - 1].begin(), bwd[m - 1].begin() + len, 1);
+    for (size_t k = m - 1; k-- > 0;) {
+      const SymbolId want = pattern[k + 1];
+      const DpRow& next = bwd[k + 1];
+      GapSuccessorSums(
+          len, spec.gap(k),
+          [&](size_t v) {
+            return seq[s + v] == want ? next[v] : uint64_t{0};
+          },
+          bwd[k].data());
+    }
+    // fwd[k][u] is 0 unless seq[s + u] = S[k+1], so every term below is a
+    // matching of pattern position k to s + u.
+    for (size_t u = 0; u < len; ++u) {
+      uint64_t& delta = (*out)[s + u];
+      for (size_t k = 0; k < m; ++k) {
+        delta = SatAdd(delta, SatMul(fwd[k][u], bwd[k][u]));
+      }
+    }
   }
 }
 
@@ -75,14 +96,13 @@ std::vector<uint64_t> PositionDeltas(const Sequence& pattern,
                                      const ConstraintSpec& spec,
                                      SequenceView seq) {
   MatchScratch scratch;
-  std::vector<uint64_t> deltas;
+  DpRow deltas;
   PositionDeltasInto(pattern, spec, seq, &scratch, &deltas);
-  return deltas;
+  return std::vector<uint64_t>(deltas.begin(), deltas.end());
 }
 
 void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
-                        SequenceView seq, MatchScratch* scratch,
-                        std::vector<uint64_t>* out) {
+                        SequenceView seq, MatchScratch* scratch, DpRow* out) {
   SEQHIDE_CHECK(!pattern.empty());
   const size_t m = pattern.size();
   const size_t n = seq.size();
@@ -93,8 +113,8 @@ void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
 
   if (spec.HasWindow()) {
     // The window couples both halves of the embedding through the first
-    // matched position; use the always-correct mark-and-recount method.
-    PositionDeltasByMarkingInto(pattern, spec, seq, scratch, out);
+    // matched position, so the halves are built per first position.
+    WindowedDeltasInto(pattern, spec, seq, scratch, out);
     return;
   }
   SEQHIDE_COUNTER_INC("delta.fast_calls");
@@ -143,11 +163,12 @@ void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
                              std::vector<uint64_t>* out) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
+  const ConstraintSpec unconstrained;
   out->assign(seq.size(), 0);
   for (size_t p = 0; p < patterns.size(); ++p) {
     const ConstraintSpec& spec =
-        constraints.empty() ? ConstraintSpec() : constraints[p];
-    std::vector<uint64_t>& d = scratch->pattern_deltas;
+        constraints.empty() ? unconstrained : constraints[p];
+    DpRow& d = scratch->pattern_deltas;
     PositionDeltasInto(patterns[p], spec, seq, scratch, &d);
     for (size_t j = 0; j < seq.size(); ++j) {
       (*out)[j] = SatAdd((*out)[j], d[j]);
@@ -179,9 +200,19 @@ std::vector<uint64_t> PositionDeltasByDeletion(const Sequence& pattern,
 std::vector<uint64_t> PositionDeltasByMarking(const Sequence& pattern,
                                               const ConstraintSpec& spec,
                                               SequenceView seq) {
+  SEQHIDE_COUNTER_INC("delta.marking_calls");
   MatchScratch scratch;
-  std::vector<uint64_t> deltas;
-  PositionDeltasByMarkingInto(pattern, spec, seq, &scratch, &deltas);
+  const uint64_t base = CountConstrainedMatchings(pattern, spec, seq, &scratch);
+  std::vector<uint64_t> deltas(seq.size(), 0);
+  for (size_t i = 0; i < seq.size(); ++i) {
+    if (!IsRealSymbol(seq[i])) continue;
+    Sequence marked = seq.Materialize();
+    marked.Mark(i);
+    uint64_t without =
+        CountConstrainedMatchings(pattern, spec, marked, &scratch);
+    SEQHIDE_DCHECK(without <= base);
+    deltas[i] = base - without;
+  }
   return deltas;
 }
 

@@ -25,7 +25,6 @@
 
 #include "src/common/checked_math.h"
 #include "src/obs/telemetry/mem_tracker.h"
-#include "src/seq/sequence.h"
 
 namespace seqhide {
 
@@ -48,8 +47,11 @@ struct MatchScratch {
   DpTable fwd;
   // PositionDeltas' suffix-extension table ([m+1][n]).
   DpTable bwd;
-  // Windowed counting's per-ending-position table ([m][n]).
-  DpTable window;
+  // The anchored window kernel's tables ([m][min(Ws, n)], re-filled per
+  // anchor): prefix embeddings from the anchor, used by windowed counting
+  // and windowed δ, and suffix embeddings inside the slice (δ only).
+  DpTable window_fwd;
+  DpTable window_bwd;
   // BuildPrefixEndTable's running sums and column buffer.
   DpRow running;
   DpRow column;
@@ -57,14 +59,14 @@ struct MatchScratch {
   // pattern prefix).
   DpRow trie_counts;
   // Per-pattern δ buffer used by PositionDeltasTotal's accumulation.
-  // Plain vector: it is handed to the public PositionDeltasInto out-param
-  // (an O(n) result buffer, not a DP table).
-  std::vector<uint64_t> pattern_deltas;
+  DpRow pattern_deltas;
+  // The local sanitizer's δ row per pattern ([|S|][n]), kept across its
+  // marking rounds so a pattern the last mark did not touch is not
+  // recomputed.
+  DpTable pattern_delta_rows;
   // MatchKernel::CountRow's per-pattern counts buffer (plain vector: it is
   // the public out-param shape, not a DP table).
   std::vector<uint64_t> pattern_counts;
-  // Mark-and-recount fallback's working copy of the sequence.
-  Sequence marked;
 
   // Memory ceiling (bytes) for any single DP table sized through this
   // scratch; 0 = unlimited. Stages running under a RunBudget set it so

@@ -4,6 +4,8 @@
 
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
+#include "src/match/position_delta.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -152,6 +154,93 @@ TEST(LocalSanitizeTest, HeuristicBeatsRandomOnAverage) {
   }
   EXPECT_LE(heuristic_total * 5, random_total);
 }
+
+// The paper's loop, literally: recompute the whole δ every round with
+// PositionDeltasTotal, then pick as SanitizeSequence does.
+std::vector<size_t> ReferenceMarks(Sequence t,
+                                   const std::vector<Sequence>& patterns,
+                                   const std::vector<ConstraintSpec>& specs,
+                                   LocalStrategy strategy, Rng* rng) {
+  std::vector<size_t> marks;
+  for (;;) {
+    std::vector<uint64_t> deltas = PositionDeltasTotal(patterns, specs, t);
+    std::vector<size_t> candidates;
+    uint64_t best_delta = 0;
+    size_t best = 0;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      if (deltas[i] == 0) continue;
+      candidates.push_back(i);
+      if (deltas[i] > best_delta) {
+        best_delta = deltas[i];
+        best = i;
+      }
+    }
+    if (candidates.empty()) return marks;
+    const size_t chosen =
+        strategy == LocalStrategy::kHeuristic
+            ? best
+            : candidates[static_cast<size_t>(
+                  rng->NextBounded(candidates.size()))];
+    t.Mark(chosen);
+    marks.push_back(chosen);
+  }
+}
+
+// Keeping one δ row per pattern and recomputing only the patterns the
+// last mark touched must reproduce the full recomputation mark for mark.
+TEST(LocalSanitizeTest, IncrementalDeltasMatchFullRecomputation) {
+  Rng rng(31337);
+  for (int trial = 0; trial < 80; ++trial) {
+    const size_t n = 10 + rng.NextBounded(70);
+    Sequence t = RandomSeq(&rng, n, 4);
+    std::vector<Sequence> patterns;
+    std::vector<ConstraintSpec> specs;
+    const size_t num_patterns = 1 + rng.NextBounded(4);
+    const int mix = trial % 4;  // plain, gap, window, mixed
+    for (size_t p = 0; p < num_patterns; ++p) {
+      const size_t m = 1 + rng.NextBounded(3);
+      patterns.push_back(RandomSeq(&rng, m, 4));
+      const int kind = (mix == 3) ? static_cast<int>(rng.NextBounded(4)) : mix;
+      ConstraintSpec spec;
+      if (kind == 1) spec = ConstraintSpec::UniformGap(rng.NextBounded(2), 3);
+      if (kind == 2) spec = ConstraintSpec::Window(m + rng.NextBounded(6));
+      if (kind == 3) {
+        spec = ConstraintSpec::UniformGap(0, 4);
+        spec.SetMaxWindow(m + rng.NextBounded(8));
+      }
+      specs.push_back(spec);
+    }
+    for (LocalStrategy strategy :
+         {LocalStrategy::kHeuristic, LocalStrategy::kRandom}) {
+      Rng ref_rng(trial), run_rng(trial);
+      std::vector<size_t> want =
+          ReferenceMarks(t, patterns, specs, strategy, &ref_rng);
+      Sequence got = t;
+      LocalSanitizeResult r =
+          SanitizeSequence(&got, patterns, specs, strategy, &run_rng);
+      EXPECT_EQ(r.marked_positions, want)
+          << "trial " << trial << " mix " << mix << " t=" << t.DebugString();
+      EXPECT_EQ(CountConstrainedMatchingsTotal(patterns, specs, got), 0u);
+    }
+  }
+}
+
+#if !defined(SEQHIDE_OBS_DISABLED)
+TEST(LocalSanitizeTest, UntouchedPatternsAreNotRecomputed) {
+  Alphabet a;
+  // δ = <3,1,1,1,1,0,1,2>: the first mark lands on T[0] = a, which <c,d>
+  // does not use, so <c,d>'s δ row is kept for the second round.
+  Sequence t = Seq(&a, "a b b c d x a b");
+  std::vector<Sequence> patterns = {Seq(&a, "a b"), Seq(&a, "c d")};
+  obs::Counter* reuses =
+      obs::MetricsRegistry::Default().GetCounter("local.pattern_delta_reuses");
+  const uint64_t before = reuses->Value();
+  LocalSanitizeResult r =
+      SanitizeSequence(&t, patterns, {}, LocalStrategy::kHeuristic, nullptr);
+  EXPECT_GT(r.marks_introduced, 1u);
+  EXPECT_GT(reuses->Value(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace seqhide

@@ -141,6 +141,29 @@ TEST(SanitizerBudgetTest, TinyTableBudgetSkipsVictimsButFinishes) {
   EXPECT_FALSE(report->exposed.empty());
 }
 
+TEST(SanitizerBudgetTest, TinyTableBudgetSkipsWindowVictims) {
+  // The window path's buffers (the per-pattern δ rows and the per-anchor
+  // tables) are charged to the same ceiling as every other DP table, so a
+  // window-constrained victim is skipped too.
+  SequenceDatabase db = BigDb();
+  std::vector<Sequence> patterns = Patterns(&db);
+  std::vector<ConstraintSpec> specs(patterns.size(),
+                                    ConstraintSpec::Window(6));
+
+  SanitizeOptions opts = SanitizeOptions::HH();
+  opts.psi = 2;
+  opts.budget.max_table_bytes = 8;
+
+  auto report = Sanitize(&db, patterns, specs, opts);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->rounds_completed, report->rounds_total);
+  EXPECT_GT(report->victims_skipped, 0u);
+  EXPECT_TRUE(report->degraded);
+  EXPECT_EQ(report->stop_reason, StatusCode::kResourceExhausted);
+  EXPECT_EQ(report->marks_introduced, 0u);
+  EXPECT_FALSE(report->exposed.empty());
+}
+
 TEST(SanitizerBudgetTest, GenerousBudgetChangesNothing) {
   // A budget that never binds must leave the run byte-identical to an
   // unbudgeted one.
